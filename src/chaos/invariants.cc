@@ -1,6 +1,6 @@
 #include "chaos/invariants.h"
 
-#include <tuple>
+#include <algorithm>
 #include <utility>
 
 namespace soda::chaos {
@@ -20,6 +20,17 @@ std::string tid_key_str(int node, std::int32_t tid) {
   return "n" + std::to_string(node) + " tid=" + std::to_string(tid);
 }
 
+std::uint64_t mix(std::uint64_t x) {  // SplitMix64 finalizer
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t pack(std::int32_t hi, std::int32_t lo) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32 |
+         static_cast<std::uint32_t>(lo);
+}
+
 }  // namespace
 
 // ------------------------------------------------- ExactlyOnceTermination
@@ -28,44 +39,43 @@ void ExactlyOnceTermination::on_event(const sim::TraceEvent& e) {
   using sim::TraceCategory;
   if (is_death(e)) {
     // The dead incarnation's open requests are legitimately abandoned.
-    auto it = requests_.lower_bound({e.node, 0});
-    while (it != requests_.end() && it->first.first == e.node) {
-      if (it->second == State::kOpen) {
-        it = requests_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    if (Issuer* s = issuers_.find(e.node)) s->open.clear();
     return;
   }
   if (e.category == TraceCategory::kRequestIssued) {
-    auto [it, inserted] = requests_.try_emplace({e.node, e.tid}, State::kOpen);
-    if (!inserted) {
+    Issuer& s = issuers_[e.node];
+    if (e.tid <= s.last) {
       fail(e.at, "tid reissued: " + tid_key_str(e.node, e.tid));
+      return;
     }
+    s.first = std::min<std::int64_t>(s.first, e.tid);
+    s.last = e.tid;
+    s.open.push_back(e.tid);
     return;
   }
   if (e.category == TraceCategory::kRequestCompleted) {
-    auto it = requests_.find({e.node, e.tid});
-    if (it == requests_.end()) {
+    Issuer* s = issuers_.find(e.node);
+    if (s == nullptr || e.tid < s->first || e.tid > s->last) {
       fail(e.at, "completion without issue: " + tid_key_str(e.node, e.tid));
       return;
     }
-    if (it->second == State::kTerminated) {
+    auto it = std::find(s->open.begin(), s->open.end(), e.tid);
+    if (it == s->open.end()) {
       fail(e.at, "terminated twice: " + tid_key_str(e.node, e.tid));
       return;
     }
-    it->second = State::kTerminated;
+    *it = s->open.back();
+    s->open.pop_back();
   }
 }
 
 void ExactlyOnceTermination::finish(sim::Time end) {
-  for (const auto& [key, state] : requests_) {
-    if (state == State::kOpen) {
-      fail(end, "never terminated after quiescence: " +
-                    tid_key_str(key.first, key.second));
+  issuers_.for_each([&](int node, Issuer& s) {
+    std::sort(s.open.begin(), s.open.end());
+    for (std::int32_t tid : s.open) {
+      fail(end, "never terminated after quiescence: " + tid_key_str(node, tid));
     }
-  }
+  });
 }
 
 // --------------------------------------------------- AtMostOnceDelivery
@@ -76,13 +86,42 @@ void AtMostOnceDelivery::on_event(const sim::TraceEvent& e) {
     return;
   }
   if (e.category != sim::TraceCategory::kRequestDelivered) return;
-  const int server_epoch = deaths_[e.node];
-  const int requester_epoch = deaths_[e.peer];
-  auto& seen = delivered_[{e.node, e.peer, e.tid}];
-  if (!seen.insert({server_epoch, requester_epoch}).second) {
+  const int* server_epoch = deaths_.find(e.node);
+  const int* requester_epoch = deaths_.find(e.peer);
+  const Key key{e.node, e.peer, e.tid, server_epoch ? *server_epoch : 0,
+                requester_epoch ? *requester_epoch : 0};
+  if (!insert(key)) {
     fail(e.at, "duplicate delivery at n" + std::to_string(e.node) +
                    " of n" + std::to_string(e.peer) +
                    " tid=" + std::to_string(e.tid));
+  }
+}
+
+bool AtMostOnceDelivery::insert(const Key& k) {
+  if (4 * (delivered_count_ + 1) > 3 * delivered_.size()) grow();
+  const std::uint64_t hash =
+      mix(pack(k.server, k.requester) ^
+          mix(pack(k.tid, k.server_epoch) ^
+              static_cast<std::uint32_t>(k.requester_epoch)));
+  const std::size_t m = delivered_.size() - 1;
+  for (std::size_t i = hash & m;; i = (i + 1) & m) {
+    Key& slot = delivered_[i];
+    if (slot.server_epoch < 0) {
+      slot = k;
+      ++delivered_count_;
+      return true;
+    }
+    if (slot == k) return false;
+  }
+}
+
+void AtMostOnceDelivery::grow() {
+  std::vector<Key> old = std::move(delivered_);
+  delivered_.assign(std::max<std::size_t>(64, 2 * old.size()),
+                    Key{0, 0, 0, -1, 0});
+  delivered_count_ = 0;
+  for (const Key& k : old) {
+    if (k.server_epoch >= 0) insert(k);
   }
 }
 
@@ -91,16 +130,21 @@ void AtMostOnceDelivery::on_event(const sim::TraceEvent& e) {
 void NoStaleAccept::on_event(const sim::TraceEvent& e) {
   using sim::TraceStatus;
   if (is_death(e)) {
-    ++deaths_[e.node];
+    Requester& r = requesters_[e.node];
+    r.last_at_death = r.last;
     return;
   }
   if (e.category == sim::TraceCategory::kHandlerInvoked &&
       e.status == TraceStatus::kBooting) {
-    alive_[e.node] = deaths_[e.node];
+    if (Requester* r = requesters_.find(e.node)) {
+      r->stale_upto = r->last_at_death;
+    }
     return;
   }
   if (e.category == sim::TraceCategory::kRequestIssued) {
-    issued_in_[{e.node, e.tid}] = deaths_[e.node];
+    Requester& r = requesters_[e.node];
+    r.first = std::min<std::int64_t>(r.first, e.tid);
+    r.last = std::max<std::int64_t>(r.last, e.tid);
     return;
   }
   if (e.category != sim::TraceCategory::kAcceptCompleted) return;
@@ -108,12 +152,12 @@ void NoStaleAccept::on_event(const sim::TraceEvent& e) {
                        e.status == TraceStatus::kPiggybacked ||
                        e.status == TraceStatus::kNone;
   if (!success) return;
-  auto it = issued_in_.find({e.peer, e.tid});
-  if (it == issued_in_.end()) return;  // issued before tracing started
+  const Requester* r = requesters_.find(e.peer);
+  if (r == nullptr || e.tid < r->first) return;  // issued before tracing
   // Only a success after a NEWER incarnation of the requester has booted
   // is a protocol violation; completing while the requester is dead (or
   // gone for good) is the benign piggyback case.
-  if (alive_[e.peer] > it->second) {
+  if (e.tid <= r->stale_upto) {
     fail(e.at, "n" + std::to_string(e.node) +
                    " accepted pre-reboot request " +
                    tid_key_str(e.peer, e.tid));
@@ -124,20 +168,17 @@ void NoStaleAccept::on_event(const sim::TraceEvent& e) {
 
 void HandlerNeverNests::on_event(const sim::TraceEvent& e) {
   using sim::TraceCategory;
-  if (is_death(e)) {
-    busy_[e.node] = false;  // the kernel tears the handler down
+  if (is_death(e) || e.category == TraceCategory::kHandlerEnded) {
+    // A death tears the handler down as ENDHANDLER does.
+    if (std::uint8_t* busy = busy_.find(e.node)) *busy = 0;
     return;
   }
   if (e.category == TraceCategory::kHandlerInvoked) {
-    bool& busy = busy_[e.node];
+    std::uint8_t& busy = busy_[e.node];
     if (busy) {
       fail(e.at, "handler invoked while busy on n" + std::to_string(e.node));
     }
-    busy = true;
-    return;
-  }
-  if (e.category == TraceCategory::kHandlerEnded) {
-    busy_[e.node] = false;
+    busy = 1;
   }
 }
 

@@ -14,13 +14,13 @@
 // reproduces the trace bit-identically.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/trace.h"
@@ -65,6 +65,70 @@ class Invariant {
   std::vector<Violation> violations_;
 };
 
+/// Per-MID checker state in a dense vector indexed by MID + 1, so the
+/// "n/a" MID -1 is slot 0. MIDs outside [-1, kDenseMids - 1) -- no shipped
+/// topology has one -- live in a side vector sorted by MID. operator[]
+/// creates a default entry; find() never grows the table.
+template <typename T>
+class MidTable {
+ public:
+  T& operator[](int mid) {
+    const std::uint64_t i = slot(mid);
+    if (i < dense_.size()) return dense_[i];
+    if (i < kDenseMids) {
+      dense_.resize(i + 1);
+      return dense_[i];
+    }
+    auto it = sparse_lower_bound(mid);
+    if (it == sparse_.end() || it->first != mid) {
+      it = sparse_.emplace(it, mid, T{});
+    }
+    return it->second;
+  }
+
+  T* find(int mid) {
+    const std::uint64_t i = slot(mid);
+    if (i < dense_.size()) return &dense_[i];
+    if (i < kDenseMids) return nullptr;
+    auto it = sparse_lower_bound(mid);
+    return it != sparse_.end() && it->first == mid ? &it->second : nullptr;
+  }
+
+  /// Visits every entry in ascending MID order.
+  template <typename F>
+  void for_each(F&& f) {
+    auto it = sparse_.begin();
+    for (; it != sparse_.end() && it->first < -1; ++it) {
+      f(it->first, it->second);
+    }
+    for (std::size_t i = 0; i < dense_.size(); ++i) {
+      f(static_cast<int>(i) - 1, dense_[i]);
+    }
+    for (; it != sparse_.end(); ++it) f(it->first, it->second);
+  }
+
+ private:
+  static constexpr std::uint64_t kDenseMids = 1u << 16;
+
+  static std::uint64_t slot(int mid) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(mid) + 1);
+  }
+  typename std::vector<std::pair<int, T>>::iterator sparse_lower_bound(
+      int mid) {
+    return std::lower_bound(
+        sparse_.begin(), sparse_.end(), mid,
+        [](const std::pair<int, T>& e, int m) { return e.first < m; });
+  }
+
+  std::vector<T> dense_;
+  std::vector<std::pair<int, T>> sparse_;
+};
+
+// The checkers below rely on the kernel's TID contract
+// (src/core/kernel.h, next_tid_): one MID issues strictly increasing TIDs,
+// across reboots too, and every issued TID is traced. So a per-node
+// watermark stands in for the set of every TID the node ever issued.
+
 /// Every REQUEST issued by a live incarnation terminates in exactly one of
 /// COMPLETED / CANCELLED / CRASHED / UNADVERTISED — never zero (after
 /// quiescence) and never twice. Requests whose issuer died are forgiven:
@@ -81,8 +145,14 @@ class ExactlyOnceTermination final : public Invariant {
   void finish(sim::Time end) override;
 
  private:
-  enum class State : std::uint8_t { kOpen, kTerminated };
-  std::map<std::pair<int, std::int32_t>, State> requests_;
+  struct Issuer {
+    // Issued TIDs span [first, last]; a TID in that span and not open has
+    // terminated (or was forgiven by a death).
+    std::int64_t first = INT64_MAX;
+    std::int64_t last = INT64_MIN;
+    std::vector<std::int32_t> open;  // at most MAXREQUESTS in a live kernel
+  };
+  MidTable<Issuer> issuers_;
 };
 
 /// A REQUEST is handed to the server's client at most once per (server
@@ -100,10 +170,22 @@ class AtMostOnceDelivery final : public Invariant {
   }
 
  private:
-  std::map<int, int> deaths_;  // node -> incarnation epoch
-  // (server, requester, tid) -> epochs pairs already seen
-  std::map<std::tuple<int, int, std::int32_t>, std::set<std::pair<int, int>>>
-      delivered_;
+  struct Key {
+    std::int32_t server, requester, tid, server_epoch, requester_epoch;
+    bool operator==(const Key&) const = default;
+  };
+  /// Inserts `k` into delivered_; false when it was already there.
+  bool insert(const Key& k);
+  void grow();
+
+  MidTable<int> deaths_;  // node -> incarnation epoch
+  // Every (server, requester, tid, epochs) delivered, in an insert-only
+  // open-addressing table (linear probing, power-of-two size, at most
+  // three-quarters full; server_epoch -1 marks an empty slot). Entries are
+  // never retired: a delayed duplicate can land after its request
+  // completed.
+  std::vector<Key> delivered_;
+  std::size_t delivered_count_ = 0;
 };
 
 /// No ACCEPT of a pre-reboot request succeeds once the requester's *new*
@@ -124,9 +206,16 @@ class NoStaleAccept final : public Invariant {
   }
 
  private:
-  std::map<int, int> deaths_;  // node -> death count
-  std::map<int, int> alive_;   // node -> epoch of the booted incarnation
-  std::map<std::pair<int, std::int32_t>, int> issued_in_;  // (node,tid)->epoch
+  // A TID predates the booted incarnation iff it is at or below the
+  // watermark at the death just before that boot, so one watermark per
+  // node replaces a per-request incarnation record.
+  struct Requester {
+    std::int64_t first = INT64_MAX;   // issued TIDs span [first, last]
+    std::int64_t last = INT64_MIN;
+    std::int64_t last_at_death = INT64_MIN;  // `last` at the latest death
+    std::int64_t stale_upto = INT64_MIN;     // predates the booted one
+  };
+  MidTable<Requester> requesters_;
 };
 
 /// The client handler never nests: between a handler invocation and its
@@ -143,7 +232,7 @@ class HandlerNeverNests final : public Invariant {
   }
 
  private:
-  std::map<int, bool> busy_;
+  MidTable<std::uint8_t> busy_;
 };
 
 /// A registry of invariants driven by one trace stream.

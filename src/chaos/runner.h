@@ -8,6 +8,8 @@
 // trace hash. That also makes the seed sweep embarrassingly parallel.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -158,17 +160,51 @@ Scenario shrink_failure(const Scenario& scenario, std::uint64_t seed,
 
 /// FNV-1a accumulation of one trace event into `h`; fold events in order
 /// starting from kTraceHashSeed to fingerprint a whole run. Inline: this
-/// runs once per trace event inside the observer and the serial
-/// byte-multiply chain is the irreducible cost — the call overhead need
-/// not be paid on top.
+/// runs once per trace event inside the observer.
 inline constexpr std::uint64_t kTraceHashSeed = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-inline std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
+namespace detail {
+
+/// kFnvPowers[k] = P^k mod 2^64. A zero byte's step is a bare multiply
+/// by P, so k trailing zero bytes fold into one multiply by P^k.
+inline constexpr auto kFnvPowers = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}();
+
+/// kFnvAllOnes[l] = fnv_u64(l, ~0) - l * P^8 for every low byte l. XOR
+/// with 0xff adds 255 - 2 * (h & 0xff) to h, and the low byte of a
+/// product mod 2^64 depends only on the low bytes of its factors, so
+/// every step's addend is a function of the starting low byte alone.
+inline constexpr auto kFnvAllOnes = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (std::uint64_t l = 0; l < t.size(); ++l) {
+    std::uint64_t h = l;
+    for (int i = 0; i < 8; ++i) h = (h ^ 0xff) * kFnvPrime;
+    t[l] = h - l * kFnvPowers[8];
   }
-  return h;
+  return t;
+}();
+
+}  // namespace detail
+
+/// FNV-1a over the eight little-endian bytes of `v`, bit-identical to one
+/// xor-multiply per byte but with a shorter dependent chain: the zero high
+/// bytes of a small field fold into one multiply by P^k, and the "n/a"
+/// value -1 (all ones) is one multiply plus a table lookup.
+inline std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
+  if (v == ~0ull) {
+    return h * detail::kFnvPowers[8] + detail::kFnvAllOnes[h & 0xff];
+  }
+  const int bytes = (71 - std::countl_zero(v)) / 8;  // significant low bytes
+  for (int i = 0; i < bytes; ++i) {
+    h = (h ^ (v & 0xff)) * kFnvPrime;
+    v >>= 8;
+  }
+  return h * detail::kFnvPowers[8 - bytes];
 }
 
 inline std::uint64_t hash_event(std::uint64_t h, const sim::TraceEvent& e) {

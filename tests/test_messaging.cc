@@ -54,12 +54,19 @@ class Echo : public SodalClient {
   Bytes last_in;
 };
 
+// gtest names each case after a byte dump of the struct, so the padding is
+// spelled out and zeroed: implicit padding would leak stack bytes into the
+// test names and change them from run to run.
 struct MatrixParam {
+  MatrixParam(std::uint32_t put, std::uint32_t get, bool pipe, double l)
+      : put_bytes(put), get_bytes(get), pipelined(pipe), loss(l) {}
   std::uint32_t put_bytes;
   std::uint32_t get_bytes;
   bool pipelined;
+  std::uint8_t pad[7] = {};
   double loss;
 };
+static_assert(sizeof(MatrixParam) == 24, "MatrixParam has implicit padding");
 
 class MessagingMatrix : public ::testing::TestWithParam<MatrixParam> {};
 

@@ -20,12 +20,20 @@ StreamResult stream(OpKind k, std::uint32_t words, bool pipelined) {
 
 // ---- packet counts: the structural claim of the performance tables ----
 
+// gtest names each case after a byte dump of the struct, so the padding is
+// spelled out and zeroed: implicit padding would leak stack bytes into the
+// test names and change them from run to run.
 struct PacketCase {
+  PacketCase(OpKind k, std::uint32_t w, bool p, double e)
+      : kind(k), words(w), pipelined(p), expected_packets(e) {}
   OpKind kind;
+  std::uint8_t pad0[3] = {};
   std::uint32_t words;
   bool pipelined;
+  std::uint8_t pad1[7] = {};
   double expected_packets;
 };
+static_assert(sizeof(PacketCase) == 24, "PacketCase has implicit padding");
 
 class PacketCounts : public ::testing::TestWithParam<PacketCase> {};
 

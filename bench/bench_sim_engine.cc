@@ -210,9 +210,9 @@ sim::TraceEvent synthetic_event(std::uint64_t i) {
 }
 
 // The determinism tax itself: the pinned trace hash is an order-dependent
-// FNV-1a chain — every event serializes behind the previous one on the
+// chain — every event serializes behind the previous one on the
 // simulation thread. This is the baseline the commutative fold attacks.
-void BM_TraceHashOrderedFnv(benchmark::State& state) {
+void BM_TraceHashOrdered(benchmark::State& state) {
   std::vector<sim::TraceEvent> evs;
   for (std::uint64_t i = 0; i < 1000; ++i) evs.push_back(synthetic_event(i));
   for (auto _ : state) {
@@ -222,7 +222,7 @@ void BM_TraceHashOrderedFnv(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_TraceHashOrderedFnv);
+BENCHMARK(BM_TraceHashOrdered);
 
 // The parallel-reducible replacement: per-event fingerprints combined
 // with (+, ^, count). Same per-event cost class, but partial folds merge

@@ -12,7 +12,6 @@
 #include "core/network.h"
 #include "stats/metrics.h"
 #include "inet/internet.h"
-#include "sim/parallel.h"
 
 namespace soda::chaos {
 
@@ -144,9 +143,8 @@ void schedule_crashes(Net& net, const Scenario& s) {
     if (f.kind != FaultKind::kCrash) continue;
     if (f.node < 0 || f.node >= s.nodes) continue;
     const Mid mid = static_cast<Mid>(f.node);
-    // Pin the injected events to the victim's partition wheel: a crash is
-    // external intervention, not protocol traffic, so it must not look
-    // like a cross-partition schedule inside the lookahead window.
+    // Pin the injected events to the victim's partition: a crash is
+    // external intervention, not protocol traffic, and runs as the victim.
     sim::ScopedPartition guard(sim, net.node(mid).partition());
     sim.at(f.at, [&net, mid] { net.node(mid).crash(); });
     if (f.reboot_after > 0) {
@@ -208,10 +206,9 @@ void install_inet_faults(inet::Internet& net, const Scenario& s) {
 /// throwing, a simulation runaway) into a reported violation, so a worker
 /// thread never terminates the sweep.
 RunResult run_guarded(const Scenario& scenario, std::uint64_t seed,
-                      const InvariantFactory& extra,
-                      const RunOptions& options = {}) {
+                      const InvariantFactory& extra) {
   try {
-    return run_scenario(scenario, seed, extra, options);
+    return run_scenario(scenario, seed, extra);
   } catch (const std::exception& ex) {
     RunResult r;
     r.seed = seed;
@@ -249,12 +246,11 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     single = std::make_unique<Network>(nopts);
   }
   auto& sim = single ? single->sim() : internet->sim();
-  const bool parallel = options.engine == EngineMode::kParallel;
-  // Epoch 2: every run is partitioned — per-segment wheels, or per-node
-  // wheels on a single bus — regardless of engine. The serial engine
-  // walks the same windows one partition at a time, so the concurrent
-  // engine has a bit-identical reference to be compared against.
-  sim.enable_partitions(segments > 1 ? segments : std::max(1, scenario.nodes));
+  // Epoch 3: every run is partitioned — per segment, or per node on a
+  // single bus — on the one wheel. Events pop in global (time, seq) order;
+  // each runs as its partition and draws from that partition's stream.
+  sim.enable_partitions(segments > 1 ? segments : std::max(1, scenario.nodes),
+                        sim::PartitionMode::kSingleWheel);
   sim.trace().enable_all();
   sim.trace().set_store(options.keep_events);
 
@@ -266,15 +262,8 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   RunResult result;
   result.seed = seed;
   std::uint64_t hash = kTraceHashSeed;
-  sim::TraceFold serial_fold;
-  auto observe = [&](const sim::TraceEvent& e) {
-    if (options.sampled_fold) {
-      // Commutative digest instead of the ordered FNV chain; under the
-      // parallel engine the sink's fold workers compute it off-thread.
-      if (!parallel) serial_fold.add(e);
-    } else {
-      hash = hash_event(hash, e);
-    }
+  sim.trace().set_observer([&](const sim::TraceEvent& e) {
+    hash = hash_event(hash, e);
     invariants.on_event(e);
     ++result.stats.events;
     using sim::TraceCategory;
@@ -298,17 +287,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
       default:
         break;
     }
-  };
-  std::unique_ptr<sim::AsyncTraceSink> sink;
-  if (parallel) {
-    sim::AsyncTraceSink::Options sink_opts;
-    sink_opts.fold_workers = options.workers > 1 ? 1 : 0;
-    sink = std::make_unique<sim::AsyncTraceSink>(sim::TraceObserver(observe),
-                                                 sink_opts);
-    sim.trace().set_observer(sink->observer());
-  } else {
-    sim.trace().set_observer(observe);
-  }
+  });
 
   std::vector<TimingModel> timings;
   timings.reserve(static_cast<std::size_t>(scenario.nodes));
@@ -366,17 +345,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   if (single) {
     install_link_faults(sim, single->bus(), 0, scenario);
     schedule_crashes(*single, scenario);
-    // The lookahead fixes the window boundaries, and the boundaries are
-    // part of the epoch-2 contract — both engines must use the identical
-    // value and the identical run_until deadline.
-    sim.set_lookahead(single->bus().config().propagation);
-    if (parallel) {
-      sim::ParallelEngine engine(sim,
-                                 sim::ParallelConfig{options.workers, 0});
-      engine.run_until(scenario.end_time());
-    } else {
-      single->run_for(scenario.end_time());
-    }
+    single->run_for(scenario.end_time());
     single->check_clients();
   } else {
     for (int s = 0; s < segments; ++s) {
@@ -384,26 +353,12 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
     }
     schedule_crashes(*internet, scenario);
     install_inet_faults(*internet, scenario);
-    sim.set_lookahead(internet->lookahead());
-    if (parallel) {
-      sim::ParallelEngine engine(sim,
-                                 sim::ParallelConfig{options.workers, 0});
-      engine.run_until(scenario.end_time());
-    } else {
-      internet->run_for(scenario.end_time());
-    }
+    internet->run_for(scenario.end_time());
     internet->check_clients();
-  }
-  if (sink) {
-    sink->flush();  // every event through invariants + folds before reading
-    result.sampled_digest = sink->combined_fold().digest();
-  } else if (options.sampled_fold) {
-    result.sampled_digest = serial_fold.digest();
   }
   invariants.finish(sim.now());
 
-  result.trace_hash = options.sampled_fold ? 0 : hash;
-  result.lookahead_violations = sim.lookahead_violations();
+  result.trace_hash = hash;
   result.violations = invariants.violations();
   for (int s = 0; s < segments; ++s) {
     net::Bus& b = single ? single->bus() : internet->bus(s);
@@ -416,47 +371,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   if (options.keep_events) result.events = sim.trace().events();
   // The observer references locals of this frame; drop it before they die.
   sim.trace().set_observer(nullptr);
-  sink.reset();  // joins the sink threads while `observe`'s captures live
   return result;
-}
-
-EngineComparison compare_engines(const Scenario& scenario, std::uint64_t seed,
-                                 int workers, const InvariantFactory& extra) {
-  EngineComparison out;
-  RunOptions serial_opts;
-  serial_opts.sampled_fold = true;
-  RunOptions parallel_opts = serial_opts;
-  parallel_opts.engine = EngineMode::kParallel;
-  parallel_opts.workers = workers;
-  const RunResult rs = run_scenario(scenario, seed, extra, serial_opts);
-  const RunResult rp = run_scenario(scenario, seed, extra, parallel_opts);
-  out.serial_digest = rs.sampled_digest;
-  out.parallel_digest = rp.sampled_digest;
-  out.parallel_lookahead_violations = rp.lookahead_violations;
-  out.digests_match = rs.sampled_digest == rp.sampled_digest;
-  if (out.digests_match) return out;
-
-  // Sampled digests disagree: replay both engines with the full ordered
-  // FNV fold and retained events to find the first divergent event.
-  out.replayed = true;
-  RunOptions full_serial;
-  full_serial.keep_events = true;
-  RunOptions full_parallel = full_serial;
-  full_parallel.engine = EngineMode::kParallel;
-  full_parallel.workers = workers;
-  const RunResult es = run_scenario(scenario, seed, extra, full_serial);
-  const RunResult ep = run_scenario(scenario, seed, extra, full_parallel);
-  out.serial_hash = es.trace_hash;
-  out.parallel_hash = ep.trace_hash;
-  const std::size_t n = std::min(es.events.size(), ep.events.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(es.events[i] == ep.events[i])) {
-      out.first_divergence = i;
-      return out;
-    }
-  }
-  if (es.events.size() != ep.events.size()) out.first_divergence = n;
-  return out;
 }
 
 SweepResult sweep_scenario(const Scenario& scenario,
@@ -480,7 +395,7 @@ SweepResult sweep_scenario(const Scenario& scenario,
       if (failure_count.load() >= options.max_failures) return;
       const std::uint64_t seed =
           options.first_seed + static_cast<std::uint64_t>(i);
-      RunResult r = run_guarded(scenario, seed, extra, options.run);
+      RunResult r = run_guarded(scenario, seed, extra);
       std::lock_guard<std::mutex> lock(mu);
       ++out.ran;
       if (!r.ok()) {

@@ -503,7 +503,11 @@ void Transport::process_sequenced(Mid peer, Record& r, const Frame& f) {
   }
   if (r.has_recv && f.seq == r.last_recv_seq) {
     // Duplicate: the peer missed our acknowledgement. Re-answer from
-    // connection state (§5.2.3).
+    // connection state (§5.2.3). A peer still retransmitting this sequence
+    // number still holds its send state, so the receive half stays alive:
+    // take-any-SN must count its lifetime from the latest copy, or a late
+    // duplicate would read as fresh and be delivered a second time.
+    r.last_recv_at = sim_.now();
     metrics_->add(stats::Counter::kDuplicatesSuppressed);
     if (r.last_response) {
       Frame replay = *r.last_response;

@@ -80,8 +80,8 @@ struct HarnessOptions {
   bool retransmit_backoff = false;
   bool check_invariants = true;
   /// Engine selection; kWindowed/kConcurrent partition the event queue
-  /// (one partition per segment, or per node on a single bus) and hash
-  /// under epoch 2 (chaos::kHashEpoch).
+  /// (one partition per segment, or per node on a single bus) and their
+  /// bench rows carry chaos::kHashEpoch.
   ExecMode exec_mode = ExecMode::kClassic;
   /// Worker pool size for the concurrent engine (window executors + fold
   /// threads); 0 = hardware_concurrency.

@@ -157,9 +157,13 @@ class EventQueue {
   /// Schedule `fn` to run at absolute time `at`. Returns an id usable with
   /// cancel(). `at` must not be in the past relative to the last popped
   /// event (enforced by Simulator, not here).
+  ///
+  /// `part` is a partition tag stored in the cell and handed back by
+  /// pop_keyed(); the single-wheel partitioned Simulator uses it to make
+  /// the popped event's partition the ambient one. It never affects order.
   template <typename F>
-  EventId schedule(Time at, F&& fn) {
-    return schedule_tagged(at, seq_next_, std::forward<F>(fn));
+  EventId schedule(Time at, F&& fn, std::uint32_t part = 0) {
+    return schedule_tagged(at, seq_next_, std::forward<F>(fn), part);
   }
 
   /// Schedule with an externally assigned sequence number. The partitioned
@@ -170,11 +174,13 @@ class EventQueue {
   /// because same-instant FIFO append and the past-due front list rely on
   /// seq monotonicity within the queue.
   template <typename F>
-  EventId schedule_tagged(Time at, std::uint64_t seq, F&& fn) {
+  EventId schedule_tagged(Time at, std::uint64_t seq, F&& fn,
+                          std::uint32_t part = 0) {
     const std::uint32_t idx = alloc_cell();
     Cell& c = cells_[idx];
     c.at = at;
     c.seq = seq;
+    c.part = part;
     if (seq >= seq_next_) seq_next_ = seq + 1;
     c.fn.assign(std::forward<F>(fn));
     if (c.fn.heap_allocated()) ++sbo_spills_;
@@ -222,40 +228,18 @@ class EventQueue {
     return has_front() ? cells_[front_[front_pos_]].at : ready_time_;
   }
 
-  /// (time, seq) of the earliest pending event — the key the partitioned
-  /// merge orders queues by. Only valid when !empty(). Mirrors pop()'s
-  /// preference for the past-due front list over the active tick.
-  std::pair<Time, std::uint64_t> next_key() {
-    const bool ok = prepare();
-    assert(ok);
-    (void)ok;
-    const std::uint32_t idx =
-        has_front() ? front_[front_pos_] : ready_[ready_pos_];
-    const Cell& c = cells_[idx];
-    return {c.at, c.seq};
-  }
-
-  /// Advance wheel structure (cascades, overflow rebase, tick activation)
-  /// until the earliest live event sits at the head, without popping it.
-  /// Pure structural work with no effect on pop order, so partitioned
-  /// queues can be prefetched from worker threads while the merge loop is
-  /// parked — each queue's internals are disjoint from every other's.
-  /// Returns false when the queue is empty (nothing to do).
-  bool prefetch() {
-    if (live_ == 0) return false;
-    return prepare();
-  }
-
-  /// A popped event together with its (time, seq) key. The partitioned
-  /// epoch-2 executor pops with the key so it can erase the event's
-  /// live-map entry (keyed by seq) without a second wheel lookup.
+  /// A popped event together with its (time, seq) key and partition tag.
+  /// The windowed executor pops with the key so it can erase the event's
+  /// live-map entry (keyed by seq) without a second wheel lookup; the
+  /// single-wheel Simulator reads the partition tag.
   struct KeyedEvent {
     Time at;
     std::uint64_t seq;
+    std::uint32_t part;
     EventFn fn;
   };
 
-  /// Like pop(), but also returns the event's sequence tag.
+  /// Like pop(), but also returns the event's sequence and partition tags.
   KeyedEvent pop_keyed() {
     const bool ok = prepare();
     assert(ok);
@@ -267,7 +251,7 @@ class EventQueue {
       idx = ready_[ready_pos_++];
     }
     Cell& c = cells_[idx];
-    KeyedEvent out{c.at, c.seq, std::move(c.fn)};
+    KeyedEvent out{c.at, c.seq, c.part, std::move(c.fn)};
     retire(idx);
     assert(live_ > 0);
     --live_;
@@ -300,15 +284,21 @@ class EventQueue {
   static constexpr int kLevels = 6;  // horizon 2^36 us ~ 19 sim-hours
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  // 128 bytes/cell: 24 of bookkeeping + 104 of callback storage. An empty
-  // fn marks a cancelled (or free) cell awaiting lazy reclamation.
+  // 144 bytes/cell: 24 of bookkeeping, the 4-byte partition tag and 4 of
+  // padding (EventFn is max_align_t-aligned), then the 112-byte EventFn
+  // (vtable pointer + 96 inline bytes, rounded up to 16). An empty fn
+  // marks a cancelled (or free) cell awaiting lazy reclamation.
   struct Cell {
     Time at = 0;
     std::uint64_t seq = 0;
     std::uint32_t next = kNil;  // slot chain / free list link
     std::uint32_t gen = 1;      // bumped on retire; 0 never matches
+    std::uint32_t part = 0;     // partition tag; lives in EventFn's padding
     EventFn fn;
   };
+  static_assert(sizeof(EventFn) == 112);
+  static_assert(sizeof(Cell) == 144,
+                "the partition tag must stay in the padding before fn");
 
   struct Level {
     std::array<std::uint32_t, kSlots> head;
@@ -540,7 +530,7 @@ class EventQueue {
 
   /// Slab: stable addresses, O(1) index access, intrusive free list.
   /// A chunked array rather than std::deque — libstdc++ deque nodes hold
-  /// only four 128-byte cells, so cells_[idx] there is a two-level lookup
+  /// only three 144-byte cells, so cells_[idx] there is a two-level lookup
   /// through a sprawling block map; 1024-cell chunks make it one indirection
   /// with real locality. Chunks never move or shrink, so Cell references
   /// stay valid across growth (alloc during a running callback is safe).

@@ -12,8 +12,7 @@ namespace soda::sim {
 // TraceFold
 
 std::uint64_t TraceFold::mix(std::uint64_t x) {
-  // SplitMix64 finalizer: full-avalanche, 3 multiplies — roughly the cost
-  // of one FNV byte step, for the whole word.
+  // SplitMix64 finalizer: full-avalanche, 3 multiplies per word.
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
@@ -158,6 +157,12 @@ TraceFold AsyncTraceSink::combined_fold() {
 
 ParallelEngine::ParallelEngine(Simulator& sim, ParallelConfig config)
     : sim_(sim) {
+  // A single-wheel simulator is partitioned but has no windows to hand
+  // out; refuse it instead of spinning on begin_window.
+  if (sim_.partitioned() && !sim_.windowed()) {
+    throw std::logic_error(
+        "ParallelEngine needs PartitionMode::kWindowed partitions");
+  }
   if (config.lookahead > 0) sim_.set_lookahead(config.lookahead);
   int n = config.workers;
   if (n <= 0) {
@@ -231,7 +236,7 @@ void ParallelEngine::execute_window() {
 }
 
 std::size_t ParallelEngine::run_until(Time deadline) {
-  if (!sim_.partitioned()) return sim_.run_until(deadline);
+  if (!sim_.windowed()) return sim_.run_until(deadline);
   std::size_t n = 0;
   while (sim_.begin_window(deadline)) {
     execute_window();
@@ -242,7 +247,7 @@ std::size_t ParallelEngine::run_until(Time deadline) {
 }
 
 std::size_t ParallelEngine::run(std::size_t max_events) {
-  if (!sim_.partitioned()) return sim_.run(max_events);
+  if (!sim_.windowed()) return sim_.run(max_events);
   constexpr Time kNever = std::numeric_limits<Time>::max();
   std::size_t n = 0;
   while (sim_.begin_window(kNever)) {

@@ -21,8 +21,11 @@
 //      order and merges trace buffers by (time, partition).
 //
 // The result is bit-identical to serial partitioned execution of the
-// same windows — Simulator::run_until is the epoch-2 reference, and
-// chaos::compare_engines holds the two to the same pinned hash.
+// same windows — Simulator::run_until is the reference, and
+// tests/test_parallel_sim.cc and bench_scale's engine tier hold the two
+// to the same hash. Chaos runs no longer use this path: they run on the
+// single wheel (PartitionMode::kSingleWheel, hash epoch 3), which this
+// engine refuses.
 // AsyncTraceSink still offloads the observer path (invariant checkers,
 // hash folding) from whichever thread commits, and seed sweeps remain
 // embarrassingly parallel on top (chaos::sweep_scenario).
@@ -43,14 +46,13 @@
 
 namespace soda::sim {
 
-/// Commutative, parallel-reducible trace digest. The pinned FNV-1a chain
-/// (chaos::hash_event) is order-dependent byte-serial work on the hot
-/// path; this fold hashes each event independently (SplitMix64-style
+/// Commutative, parallel-reducible trace digest. The pinned chain
+/// (chaos::hash_event) is order-dependent work on the hot path; this fold hashes each event independently (SplitMix64-style
 /// finalizer over the same ten fields) and combines with (+, ^, count) —
 /// so per-worker partial folds merge to the same digest in any order.
 /// Collisions are detectable, not correctable: engine-comparison harnesses
-/// treat digest equality as "almost surely identical" and replay the full
-/// ordered FNV fold on mismatch to localize the first divergent event.
+/// treat digest equality as "almost surely identical" and fall back to
+/// the ordered chain on mismatch to localize the first divergent event.
 struct TraceFold {
   std::uint64_t sum = 0;
   std::uint64_t xr = 0;
@@ -77,7 +79,7 @@ struct TraceFold {
 /// Asynchronous trace-observer pipeline. The simulation thread appends
 /// events to a chunk buffer; full chunks flow to (a) one consumer thread
 /// that replays them *in order* through the downstream observer — so
-/// invariant checkers and the FNV hash fold see the identical sequence
+/// invariant checkers and the hash fold see the identical sequence
 /// they would have seen inline — and (b) optional fold workers computing
 /// TraceFold partials per chunk, combined in worker-index order at
 /// flush(). Back-pressure: the producer blocks once max_pending_chunks

@@ -1,12 +1,14 @@
 // Deterministic pseudo-random source for the simulator.
 //
 // One generator per stream keeps runs reproducible from a single seed.
-// Unpartitioned simulations own exactly one stream; partitioned (epoch-2)
-// simulations own one *per partition wheel*, split from the root seed, so
-// a partition's draw sequence is a pure function of (root_seed, partition)
+// Unpartitioned simulations own exactly one stream; partitioned
+// simulations own one *per partition*, split from the root seed, so a
+// partition's draw sequence is a pure function of (root_seed, partition)
 // no matter how cross-partition event execution interleaves. That
 // independence is what lets sim::ParallelEngine execute partitions
-// concurrently inside a lookahead window (doc/PERFORMANCE.md §5).
+// concurrently inside a lookahead window (doc/PERFORMANCE.md §5), and
+// what keeps one node's draws independent of the rest on the single
+// wheel chaos runs use.
 #pragma once
 
 #include <cassert>

@@ -6,11 +6,19 @@
 // traces through it. Running the simulator to quiescence executes the
 // whole distributed system deterministically.
 //
-// Partitioned mode — pinned-hash epoch 2 (doc/PERFORMANCE.md §5):
-// enable_partitions(P) splits the engine into P partition wheels, each
-// owning a private timer wheel, a private RNG stream split from the root
-// seed (Rng(seed, p)), a private local sequence counter, and a private
-// trace buffer. Execution proceeds in lookahead windows:
+// Partitioned modes (doc/PERFORMANCE.md §3, §5). enable_partitions(P)
+// gives every component a partition id; each partition owns a private RNG
+// stream split from the root seed (Rng(seed, p)). Two execution modes:
+//
+// * kSingleWheel (hash epoch 3, every chaos run): all events live on the
+//   one classic wheel, each cell tagged with its partition, and pop in
+//   global (time, seq) order. Running an event makes its partition the
+//   ambient one, so rng() returns that partition's stream and the events
+//   it schedules inherit its partition.
+//
+// * kWindowed (the scale harness's windowed and concurrent rows): P
+//   private timer wheels, each with its own local sequence counter and
+//   trace buffer, executed in lookahead windows:
 //
 //   begin_window(deadline)   place the window at the earliest pending
 //                            event; collect the partitions with work in it
@@ -25,13 +33,14 @@
 //                            trace buffers by (time, partition), advance
 //                            the global clock
 //
-// Cross-partition schedules/cancels issued *inside* a window are the only
-// inter-wheel writes; they are staged per source partition and applied at
-// the barrier, so the result is a pure function of (scenario, seed,
-// lookahead, run_until deadlines) regardless of how partitions interleave
-// on threads. Serial partitioned execution (run_until/run on this class)
-// walks the same window protocol one partition at a time and is the
-// epoch-2 reference that sim::ParallelEngine must match bit-identically.
+//   Cross-partition schedules/cancels issued *inside* a window are the
+//   only inter-wheel writes; they are staged per source partition and
+//   applied at the barrier, so the result is a pure function of
+//   (scenario, seed, lookahead, run_until deadlines) regardless of how
+//   partitions interleave on threads. Serial windowed execution
+//   (run_until/run on this class) walks the same protocol one partition
+//   at a time and is the reference sim::ParallelEngine must match
+//   bit-identically.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +63,9 @@
 
 namespace soda::sim {
 
+/// How a partitioned Simulator executes (see the file comment).
+enum class PartitionMode { kWindowed, kSingleWheel };
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
@@ -68,11 +80,17 @@ class Simulator {
 
   /// The RNG stream for the ambient partition: the root stream on an
   /// unpartitioned simulator, the partition-affine split stream otherwise.
-  /// During window execution a callback may only draw from the stream of
-  /// the partition it executes on — that independence is the epoch-2
-  /// contract that lets partitions run concurrently.
+  /// While an event runs, its callback may only draw from the stream of
+  /// the partition it executes on — that independence is the contract
+  /// that lets windowed partitions run concurrently, and the single wheel
+  /// keeps it so both modes give every partition the same draws.
   Rng& rng() {
-    if (part_ == nullptr) return rng_;
+    if (part_ == nullptr) {
+      if (streams_.empty()) return rng_;
+      assert((executing_ < 0 || current_ == executing_) &&
+             "RNG draw under a foreign ScopedPartition during execution");
+      return streams_[static_cast<std::size_t>(current_)];
+    }
     const ExecTls& t = exec_tls();
     if (t.sim == this) {
       assert(t.current == t.executing &&
@@ -86,14 +104,21 @@ class Simulator {
   stats::MetricsHub& metrics() { return metrics_; }
   const stats::MetricsHub& metrics() const { return metrics_; }
 
-  /// Split the engine into `count` partition wheels. Must be called before
-  /// anything is scheduled — every partition's RNG stream and sequence
-  /// space exist from birth.
-  void enable_partitions(int count) {
+  /// Split the engine into `count` partitions, executed as `mode` says.
+  /// Must be called before anything is scheduled — every partition's RNG
+  /// stream and sequence space exist from birth.
+  void enable_partitions(int count,
+                         PartitionMode mode = PartitionMode::kWindowed) {
     if (count < 1) throw std::logic_error("partition count must be >= 1");
-    if (part_ != nullptr) throw std::logic_error("partitions already enabled");
+    if (partitioned()) throw std::logic_error("partitions already enabled");
     if (queue_.scheduled_total() != 0) {
       throw std::logic_error("enable_partitions after events were scheduled");
+    }
+    if (mode == PartitionMode::kSingleWheel) {
+      for (int p = 0; p < count; ++p) {
+        streams_.emplace_back(seed_, static_cast<std::uint64_t>(p));
+      }
+      return;
     }
     part_ = std::make_unique<Partitioned>();
     part_->parts = std::vector<Part>(static_cast<std::size_t>(count));
@@ -103,23 +128,32 @@ class Simulator {
     }
   }
 
-  bool partitioned() const { return part_ != nullptr; }
+  bool partitioned() const { return part_ != nullptr || !streams_.empty(); }
+  /// True in PartitionMode::kWindowed, the only mode the window protocol
+  /// and sim::ParallelEngine run on.
+  bool windowed() const { return part_ != nullptr; }
   int partition_count() const {
-    return part_ == nullptr ? 1 : static_cast<int>(part_->parts.size());
+    if (part_ != nullptr) return static_cast<int>(part_->parts.size());
+    return streams_.empty() ? 1 : static_cast<int>(streams_.size());
   }
 
   /// Ambient partition for newly scheduled events. Defaults to the
   /// partition of the currently executing callback (events inherit their
-  /// executor's wheel); topology code pins it with ScopedPartition while
-  /// constructing nodes or addressing another component's wheel.
+  /// executor's partition); topology code pins it with ScopedPartition
+  /// while constructing nodes or addressing another component's partition.
+  /// Outside run_until/run it is whatever was set before the run.
   int current_partition() const {
-    if (part_ == nullptr) return 0;
+    if (part_ == nullptr) return current_;
     const ExecTls& t = exec_tls();
     return t.sim == this ? t.current : part_->current;
   }
   void set_current_partition(int p) {
-    if (part_ == nullptr) return;
+    if (!partitioned()) return;
     assert(p >= 0 && p < partition_count());
+    if (part_ == nullptr) {
+      current_ = p;
+      return;
+    }
     ExecTls& t = exec_tls();
     if (t.sim == this) {
       t.current = p;
@@ -130,7 +164,7 @@ class Simulator {
 
   /// Conservative lookahead: the minimum cross-partition latency the
   /// topology guarantees (min bus propagation delay, gateway hold time).
-  /// Under epoch 2 this is also the execution window width, so it is part
+  /// In windowed mode this is also the execution window width, so it is part
   /// of the determinism contract: same lookahead (and same run_until
   /// deadlines) => same window boundaries => same staged-op application
   /// order. A cross-partition schedule closer than the lookahead is
@@ -194,6 +228,7 @@ class Simulator {
   std::size_t run_until(Time deadline) {
     std::size_t n = 0;
     if (part_ == nullptr) {
+      const AmbientRestore restore(*this);
       while (!queue_.empty() && queue_.next_time() <= deadline) {
         step();
         ++n;
@@ -213,6 +248,7 @@ class Simulator {
   std::size_t run(std::size_t max_events = 100'000'000) {
     std::size_t n = 0;
     if (part_ == nullptr) {
+      const AmbientRestore restore(*this);
       while (!queue_.empty()) {
         step();
         if (++n > max_events) throw std::runtime_error("simulation runaway");
@@ -254,7 +290,7 @@ class Simulator {
     return std::nullopt;
   }
 
-  // ---- The epoch-2 window protocol -------------------------------------
+  // ---- The window protocol (PartitionMode::kWindowed) -------------------
   //
   // run_until/run above drive these three steps serially; ParallelEngine
   // drives step 2 concurrently (distinct partitions on distinct threads).
@@ -264,6 +300,9 @@ class Simulator {
   /// every partition with events inside it. Returns false when nothing is
   /// pending at or before `deadline`.
   bool begin_window(Time deadline) {
+    if (part_ == nullptr) {
+      throw std::logic_error("begin_window needs PartitionMode::kWindowed");
+    }
     Partitioned& ps = *part_;
     assert(!ps.in_window && ps.active.empty());
     const std::optional<Time> start = next_event_time();
@@ -378,14 +417,6 @@ class Simulator {
 
   // ----------------------------------------------------------------------
 
-  /// Advance one partition wheel's structure up to its head event without
-  /// popping. Touches only that wheel — safe to call concurrently for
-  /// distinct partitions while no window is executing.
-  void prefetch_partition(int p) {
-    if (part_ == nullptr) return;
-    part_->parts[static_cast<std::size_t>(p)].queue.prefetch();
-  }
-
   /// Lifetime scheduling totals (see EventQueue) — the bench harness uses
   /// these as a deterministic proxy for timer-bookkeeping cost.
   std::uint64_t events_scheduled() const {
@@ -485,7 +516,10 @@ class Simulator {
 
   template <typename F>
   EventId schedule_abs(Time when, Duration delay, F&& fn) {
-    if (part_ == nullptr) return queue_.schedule(when, std::forward<F>(fn));
+    if (part_ == nullptr) {
+      return queue_.schedule(when, std::forward<F>(fn),
+                             static_cast<std::uint32_t>(current_));
+    }
     ExecTls& t = exec_tls();
     if (t.sim == this) {
       const int target = t.current;
@@ -575,12 +609,34 @@ class Simulator {
     for (const TraceEvent& e : merged_) trace_.commit(e);
   }
 
+  /// Pop and run the earliest event of the one wheel. Its partition tag
+  /// becomes the ambient and the executing partition (always 0 when
+  /// unpartitioned).
   void step() {
-    auto [at, fn] = queue_.pop();
-    assert(at >= now_);
-    now_ = at;
-    fn();
+    EventQueue::KeyedEvent ev = queue_.pop_keyed();
+    assert(ev.at >= now_);
+    now_ = ev.at;
+    current_ = executing_ = static_cast<int>(ev.part);
+    ev.fn();
   }
+
+  /// Restores the ambient partition set before a single-wheel run and
+  /// marks no partition as executing once the run returns or throws.
+  class AmbientRestore {
+   public:
+    explicit AmbientRestore(Simulator& sim)
+        : sim_(sim), saved_(sim.current_) {}
+    ~AmbientRestore() {
+      sim_.current_ = saved_;
+      sim_.executing_ = -1;
+    }
+    AmbientRestore(const AmbientRestore&) = delete;
+    AmbientRestore& operator=(const AmbientRestore&) = delete;
+
+   private:
+    Simulator& sim_;
+    int saved_;
+  };
 
   std::uint64_t seed_;
   Time now_ = 0;
@@ -588,6 +644,13 @@ class Simulator {
   Rng rng_;
   Trace trace_;
   stats::MetricsHub metrics_;
+  // Single-wheel mode: one stream per partition (empty otherwise), the
+  // ambient partition, and the partition of the running event (-1
+  // outside run_until/run). Unpartitioned, current_ stays 0.
+  std::vector<Rng> streams_;
+  int current_ = 0;
+  int executing_ = -1;
+  // Windowed mode.
   std::unique_ptr<Partitioned> part_;
   std::vector<TraceEvent> merged_;  // commit_traces scratch
 };

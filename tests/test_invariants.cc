@@ -1,7 +1,7 @@
 // Negative tests for the four standard chaos invariant checkers, each fed a
 // hand-built TraceEvent sequence that violates it, next to the legal
-// near-miss the checker must accept. Plus the bit-identity of the trace
-// hash fold (chaos::fnv_u64) against a byte-serial FNV-1a reference.
+// near-miss the checker must accept. Plus the properties of the trace
+// hash fold (chaos::hash_event) that the pinned hashes rely on.
 //
 // Hand-built traces pin the checkers' contract independently of what any
 // simulated run happens to produce: a checker that silently stopped looking
@@ -246,77 +246,102 @@ TEST(HandlerNeverNests, ReinvocationAfterEndOrDeathIsLegal) {
 
 // ---------------------------------------------------------- trace hash fold
 
-/// FNV-1a over the eight little-endian bytes of `v`, one multiply per
-/// byte: the definition chaos::fnv_u64 must reproduce bit for bit.
-std::uint64_t fnv_u64_bytewise(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-TEST(TraceHashFold, MatchesByteSerialFnvOnEdgeValues) {
-  std::vector<std::uint64_t> values = {0, ~0ull};
-  for (int k = 1; k <= 7; ++k) {
-    values.push_back((1ull << (8 * k)) - 1);
-    values.push_back(1ull << (8 * k));
-  }
-  for (std::int64_t n = -300; n < 0; ++n) {
-    values.push_back(static_cast<std::uint64_t>(n));
-  }
-  for (std::uint64_t v = 1; v < 300; ++v) values.push_back(v);
-  const std::uint64_t hs[] = {kTraceHashSeed, 0, ~0ull, 0xff, 0x100,
-                              0x8000000000000000ull};
-  for (std::uint64_t h : hs) {
-    for (std::uint64_t v : values) {
-      ASSERT_EQ(fnv_u64(h, v), fnv_u64_bytewise(h, v))
-          << "h=" << h << " v=" << v;
+TraceEvent random_event(std::mt19937_64& rng) {
+  // Mostly small values, like real traces, with the -1 "n/a" value and
+  // full-width values mixed in.
+  auto field = [&rng]() -> std::int64_t {
+    switch (rng() % 4) {
+      case 0: return -1;
+      case 1: return static_cast<std::int64_t>(rng());
+      default: return static_cast<std::int64_t>(rng() % 4096);
     }
+  };
+  TraceEvent e;
+  e.at = static_cast<sim::Time>(rng() >> 20);
+  e.category = static_cast<TraceCategory>(rng() % sim::kNumTraceCategories);
+  e.node = static_cast<int>(field());
+  e.peer = static_cast<int>(field());
+  e.tid = static_cast<std::int32_t>(field());
+  e.pattern = static_cast<std::int32_t>(field());
+  e.size = static_cast<std::int32_t>(field());
+  e.sections = static_cast<std::uint16_t>(rng());
+  e.status = static_cast<TraceStatus>(rng() % 8);
+  if (rng() % 2 == 0) e.detail = field();
+  return e;
+}
+
+/// Change field `i` (hash_event's order) of `e` to a different value.
+/// XOR with a nonzero mask cannot overflow, unlike adding.
+void perturb(TraceEvent& e, int i, std::mt19937_64& rng) {
+  const auto bump = static_cast<std::int64_t>(1 + rng() % 1000);
+  switch (i) {
+    case 0: e.at ^= bump; break;
+    case 1:
+      e.category = static_cast<TraceCategory>(
+          (static_cast<std::size_t>(e.category) + 1 +
+           rng() % (sim::kNumTraceCategories - 1)) %
+          sim::kNumTraceCategories);
+      break;
+    case 2: e.node ^= static_cast<int>(bump); break;
+    case 3: e.peer ^= static_cast<int>(bump); break;
+    case 4: e.tid ^= static_cast<std::int32_t>(bump); break;
+    case 5: e.pattern ^= static_cast<std::int32_t>(bump); break;
+    case 6: e.size ^= static_cast<std::int32_t>(bump); break;
+    case 7: e.sections ^= static_cast<std::uint16_t>(1u << (rng() % 16)); break;
+    case 8:
+      e.status = static_cast<TraceStatus>(static_cast<int>(e.status) ^
+                                          static_cast<int>(1 + rng() % 7));
+      break;
+    default: e.detail = e.detail_i64(-1) ^ bump; break;
   }
 }
 
-TEST(TraceHashFold, MatchesByteSerialFnvOnRandomPairs) {
-  std::mt19937_64 rng(20240501);
-  for (int i = 0; i < 1'000'000; ++i) {
+TEST(TraceHashFold, EveryFieldChangesTheHash) {
+  // Each field enters the fold through a bijection, so a one-field change
+  // must change the hash, and the following event cannot undo it.
+  std::mt19937_64 rng(20261017);
+  for (int n = 0; n < 100'000; ++n) {
     const std::uint64_t h = rng();
-    std::uint64_t v = rng();
-    // Vary the width so every leading-zero-byte count (and -1) is hit.
-    switch (i % 10) {
-      case 8: v = ~0ull; break;
-      case 9:
-        v = static_cast<std::uint64_t>(-static_cast<std::int64_t>(v & 0xffff));
-        break;
-      default: v >>= 8 * (i % 8); break;
+    const TraceEvent e = random_event(rng);
+    const TraceEvent next = random_event(rng);
+    const std::uint64_t want = hash_event(hash_event(h, e), next);
+    for (int i = 0; i < 10; ++i) {
+      TraceEvent changed = e;
+      perturb(changed, i, rng);
+      ASSERT_FALSE(changed == e) << "field " << i << " not perturbed";
+      EXPECT_NE(hash_event(hash_event(h, changed), next), want)
+          << "event " << n << ": field " << i
+          << " does not reach the hash: " << sim::describe(changed);
     }
-    ASSERT_EQ(fnv_u64(h, v), fnv_u64_bytewise(h, v))
-        << "h=" << h << " v=" << v;
   }
 }
 
-TEST(TraceHashFold, HashEventIsTheTenFieldByteSerialChain) {
-  TraceEvent e = ev(123456789, TraceCategory::kRequestDelivered, 7, -1, 42);
-  e.size = 1500;
-  e.sections = 0x0208;
-  e.detail = std::int64_t{-5};
-  std::uint64_t h = kTraceHashSeed;
-  const std::uint64_t na = ~std::uint64_t{0};  // -1: the "n/a" value
-  const std::vector<std::uint64_t> fields = {
-      static_cast<std::uint64_t>(e.at),
-      static_cast<std::uint64_t>(e.category),
-      7,
-      na,
-      42,
-      na,
-      1500,
-      0x0208,
-      static_cast<std::uint64_t>(e.status),
-      static_cast<std::uint64_t>(std::int64_t{-5})};
-  for (std::uint64_t v : fields) h = fnv_u64_bytewise(h, v);
-  EXPECT_EQ(hash_event(kTraceHashSeed, e), h);
+TEST(TraceHashFold, SwappingAdjacentEventsChangesTheHash) {
+  std::mt19937_64 rng(1984);
+  std::vector<TraceEvent> events;
+  for (int i = 0; i < 64; ++i) events.push_back(random_event(rng));
+  auto fold = [](const std::vector<TraceEvent>& v) {
+    std::uint64_t h = kTraceHashSeed;
+    for (const TraceEvent& e : v) h = hash_event(h, e);
+    return h;
+  };
+  for (int trial = 0; trial < 10'000; ++trial) {
+    events[rng() % events.size()] = random_event(rng);
+    const std::size_t i = rng() % (events.size() - 1);
+    if (events[i] == events[i + 1]) continue;
+    std::vector<TraceEvent> swapped = events;
+    std::swap(swapped[i], swapped[i + 1]);
+    EXPECT_NE(fold(swapped), fold(events)) << "swap at " << i;
+  }
+  // Two events that differ only in time, the commonest neighbours.
+  TraceEvent a = ev(100, TraceCategory::kPacketSent, 3);
+  TraceEvent b = a;
+  b.at = 101;
+  EXPECT_NE(hash_event(hash_event(kTraceHashSeed, a), b),
+            hash_event(hash_event(kTraceHashSeed, b), a));
 }
 
-TEST(TraceHashFold, HashEpochIsUnchanged) { EXPECT_EQ(kHashEpoch, 2); }
+TEST(TraceHashFold, HashEpochIsUnchanged) { EXPECT_EQ(kHashEpoch, 3); }
 
 }  // namespace
 }  // namespace soda::chaos

@@ -1,6 +1,6 @@
-// Differential proof of the conservative parallel engine.
+// Differential proof of the partitioned engines.
 //
-// Epoch 2 (doc/PERFORMANCE.md §5): the partitioned Simulator executes
+// Windowed mode (doc/PERFORMANCE.md §5): the partitioned Simulator executes
 // lookahead windows — each partition's events run independently inside a
 // window against partition-local state (wheel, RNG stream, clock, trace
 // buffer), and cross-partition schedules/cancels are staged and applied
@@ -11,9 +11,10 @@
 // The proof is differential, three layers deep:
 //   1. a naive std::priority_queue reference model ordered by (time, seq)
 //      — small enough to be obviously correct — pins the unpartitioned
-//      wheel and the 1-partition windowed walk, including the wheel's
-//      edge cases (past-due scheduling, overflow-list rebasing, cancels
-//      of already-fired events, double cancels);
+//      wheel, the single-wheel partitioned mode every chaos run uses, and
+//      the 1-partition windowed walk, including the wheel's edge cases
+//      (past-due scheduling, overflow-list rebasing, cancels of
+//      already-fired events, double cancels);
 //   2. seed-randomized schedule/cancel/run_until storms hold the serial
 //      windowed engine and the concurrent engine to identical
 //      per-partition execution logs across partition counts, worker
@@ -21,21 +22,20 @@
 //   3. fault injection pins the staged-violation rule: a cross-partition
 //      schedule under the declared lookahead is counted AND lands exactly
 //      at the next window boundary, identically under both engines.
-// On top: TraceFold algebra, AsyncTraceSink in-order replay, the
-// lookahead-violation counter, and compare_engines over builtin chaos
-// scenarios.
+// On top: the single wheel's per-partition RNG streams and ambient
+// partition, TraceFold algebra, AsyncTraceSink in-order replay, and the
+// lookahead-violation counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "chaos/runner.h"
-#include "chaos/scenario.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 
@@ -288,6 +288,53 @@ TEST(ParallelSimDifferential, SerialWheelMatchesReference) {
   }
 }
 
+// The single wheel (PartitionMode::kSingleWheel) keeps one global log:
+// it has no threads, and its whole contract is the global (time, seq)
+// order. Each callback also checks it runs as the partition it was
+// scheduled on — the tag stored in its cell.
+std::vector<Fired> drive_single_wheel(std::uint64_t seed, int partitions,
+                                      int* wrong_partition) {
+  sim::Simulator s;
+  s.enable_partitions(partitions, sim::PartitionMode::kSingleWheel);
+  std::vector<Fired> log;
+  auto schedule = [&](sim::Duration delay, int tag, int part,
+                      bool spawn_child, int child_part) {
+    const int p = part % partitions;
+    sim::ScopedPartition guard(s, p);
+    return s.after(delay, [&, tag, p, spawn_child, child_part]() {
+      if (s.current_partition() != p) ++*wrong_partition;
+      log.push_back(Fired{tag, s.now()});
+      if (spawn_child) {
+        const int cp = child_part % partitions;
+        sim::ScopedPartition to_child(s, cp);
+        s.after(17, [&, tag, cp]() {
+          if (s.current_partition() != cp) ++*wrong_partition;
+          log.push_back(Fired{kChildTagBase + tag, s.now()});
+        });
+      }
+    });
+  };
+  drive(seed, schedule, [&s](std::uint64_t id) { s.cancel(id); },
+        [&s](sim::Time t) { s.run_until(t); });
+  return log;
+}
+
+TEST(ParallelSimDifferential, SingleWheelMatchesReference) {
+  // Partition tags ride in the cells but never reorder: the single wheel
+  // pops exactly the reference order for any partition count, and runs
+  // every event as the partition it was scheduled on.
+  for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull, 1984ull}) {
+    const auto ref = drive_ref(seed);
+    for (int partitions : {1, 3, 8}) {
+      int wrong_partition = 0;
+      EXPECT_EQ(drive_single_wheel(seed, partitions, &wrong_partition), ref)
+          << "single wheel diverged, seed " << seed << " partitions "
+          << partitions;
+      EXPECT_EQ(wrong_partition, 0) << "seed " << seed;
+    }
+  }
+}
+
 TEST(ParallelSimDifferential, SinglePartitionWindowedMatchesReference) {
   // With one partition there is no cross-partition traffic, so the
   // windowed walk must reproduce the reference pop order exactly — the
@@ -348,6 +395,86 @@ TEST(ParallelSimDifferential, ConcurrentEngineMatchesWindowedReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Single-wheel mode: streams, ambient partition, and what it refuses.
+
+TEST(SingleWheel, CallbacksDrawFromTheirPartitionsStream) {
+  constexpr std::uint64_t kSeed = 77;
+  constexpr int kParts = 3;
+  sim::Simulator s(kSeed);
+  s.enable_partitions(kParts, sim::PartitionMode::kSingleWheel);
+  std::vector<std::vector<std::uint64_t>> drawn(kParts);
+  for (int round = 0; round < 4; ++round) {
+    for (int p = 0; p < kParts; ++p) {
+      sim::ScopedPartition guard(s, p);
+      s.after(10 * round + p, [&s, &drawn, p]() {
+        drawn[static_cast<std::size_t>(p)].push_back(s.rng().next_u64());
+      });
+    }
+  }
+  s.run();
+  for (int p = 0; p < kParts; ++p) {
+    sim::Rng want(kSeed, static_cast<std::uint64_t>(p));
+    for (std::uint64_t v : drawn[static_cast<std::size_t>(p)]) {
+      EXPECT_EQ(v, want.next_u64()) << "partition " << p;
+    }
+    EXPECT_EQ(drawn[static_cast<std::size_t>(p)].size(), 4u);
+  }
+}
+
+TEST(SingleWheel, ForeignScopedPartitionDrawAsserts) {
+  // The windowed mode's contract: while an event runs, it may draw only
+  // from its own partition's stream. Compiled out under NDEBUG, where
+  // the statement just runs.
+  auto draw_under_foreign_partition = [] {
+    sim::Simulator s;
+    s.enable_partitions(2, sim::PartitionMode::kSingleWheel);
+    {
+      sim::ScopedPartition guard(s, 0);
+      s.after(1, [&s]() {
+        sim::ScopedPartition foreign(s, 1);
+        (void)s.rng().next_u64();
+      });
+    }
+    s.run();
+  };
+  EXPECT_DEBUG_DEATH(draw_under_foreign_partition(),
+                     "RNG draw under a foreign ScopedPartition");
+}
+
+TEST(SingleWheel, AmbientPartitionOutsideARunIsTheOneSetBeforeIt) {
+  sim::Simulator s;
+  s.enable_partitions(4, sim::PartitionMode::kSingleWheel);
+  std::vector<int> seen;
+  for (int p : {3, 1, 2}) {
+    sim::ScopedPartition guard(s, p);
+    s.after(5, [&s, &seen]() {
+      seen.push_back(s.current_partition());
+      s.after(5, [&s, &seen]() { seen.push_back(s.current_partition()); });
+    });
+  }
+  s.set_current_partition(2);
+  s.run_until(7);
+  EXPECT_EQ(s.current_partition(), 2);
+  s.set_current_partition(0);
+  s.run();
+  EXPECT_EQ(s.current_partition(), 0);
+  EXPECT_EQ(seen, (std::vector<int>{3, 1, 2, 3, 1, 2}));
+  EXPECT_EQ(s.lookahead_violations(), 0u);
+}
+
+TEST(SingleWheel, WindowProtocolAndParallelEngineRefuseIt) {
+  sim::Simulator s;
+  s.enable_partitions(2, sim::PartitionMode::kSingleWheel);
+  s.after(1, []() {});
+  EXPECT_TRUE(s.partitioned());
+  EXPECT_FALSE(s.windowed());
+  EXPECT_THROW(s.begin_window(100), std::logic_error);
+  EXPECT_THROW({ sim::ParallelEngine eng(s, sim::ParallelConfig{2, 0}); },
+               std::logic_error);
+  EXPECT_EQ(s.run(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,25 +618,6 @@ TEST(Lookahead, StagedViolationLandsAtTheNextWindowBoundary) {
     }
     EXPECT_EQ(s.lookahead_violations(), 1u) << "engine=" << use_engine;
     EXPECT_EQ(fired_at, 110) << "engine=" << use_engine;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// compare_engines over real chaos scenarios: digests match on the fast
-// sampled pass, no replay needed, and the shipped topologies keep the
-// violation counter at zero.
-
-TEST(CompareEngines, BuiltinScenariosMatchAcrossEngines) {
-  for (const char* name : {"smoke", "pool_failover", "inet_smoke",
-                           "gateway_flap"}) {
-    auto s = chaos::builtin_scenario(name);
-    ASSERT_TRUE(s.has_value()) << name;
-    const auto c = chaos::compare_engines(*s, /*seed=*/3, /*workers=*/2);
-    EXPECT_TRUE(c.ok()) << name << ": serial_digest=" << c.serial_digest
-                        << " parallel_digest=" << c.parallel_digest
-                        << " first_divergence=" << c.first_divergence;
-    EXPECT_FALSE(c.replayed) << name;
-    EXPECT_EQ(c.parallel_lookahead_violations, 0u) << name;
   }
 }
 

@@ -321,6 +321,33 @@ TEST_F(TransportTest, DuplicateSuppressedAndReanswered) {
   EXPECT_EQ(b.delivered.size(), 1u);  // not delivered twice
 }
 
+TEST_F(TransportTest, DuplicatesPastRecordLifetimeStayDuplicates) {
+  // The requester never hears the ACK and keeps retransmitting. Each copy
+  // proves its send state is alive, so the receiver's take-any-SN clock
+  // must restart with every duplicate; counting from the first receipt
+  // would deliver a copy that arrives one record lifetime later again.
+  a.tp->send_sequenced(2, request_frame(1));
+  sim->run_until(4 * sim::kMillisecond);
+  ASSERT_EQ(b.delivered.size(), 1u);
+  const sim::Time first_receipt = sim->now();
+  const Frame dup = b.delivered[0];
+  bus->set_loss_filter([](const Frame&, Mid dst) { return dst == 1; });
+  const std::uint64_t dups_before =
+      sim->metrics().total(stats::Counter::kDuplicatesSuppressed);
+  const sim::Duration gap = timing.retransmit_interval;
+  const sim::Time stop = first_receipt + timing.record_lifetime() + 5 * gap;
+  int sent = 0;
+  while (sim->now() < stop) {
+    bus->send(dup);
+    ++sent;
+    sim->run_until(sim->now() + gap);
+  }
+  EXPECT_EQ(b.delivered.size(), 1u) << "a duplicate was delivered again";
+  EXPECT_GE(sim->metrics().total(stats::Counter::kDuplicatesSuppressed) -
+                dups_before,
+            static_cast<std::uint64_t>(sent));
+}
+
 TEST_F(TransportTest, HoldDispositionLeavesFrameUnanswered) {
   b.next_disposition = Disposition::kHold;
   a.tp->send_sequenced(2, request_frame(1));

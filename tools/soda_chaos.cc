@@ -39,18 +39,6 @@ int usage() {
                "  --jobs N         worker threads (default: hardware)\n"
                "  --max-failures N stop collecting after N failures (16)\n"
                "\n"
-               "engine options (sweep and single-run):\n"
-               "  --engine E       serial (default), parallel, or compare.\n"
-               "                   Every run partitions the event queue and\n"
-               "                   hashes under epoch 2 (partition-local\n"
-               "                   RNG streams, receiver-side fault draws);\n"
-               "                   serial walks the windows one partition\n"
-               "                   at a time, parallel executes them\n"
-               "                   concurrently with the identical hash,\n"
-               "                   compare runs both per seed and diffs\n"
-               "                   their digests\n"
-               "  --workers N      parallel-engine pool size (0: hardware)\n"
-               "\n"
                "single-run options:\n"
                "  --seed S         run exactly one seed, print its hash\n"
                "  --dump           with --seed: print every trace event\n"
@@ -86,16 +74,11 @@ void print_violations(const chaos::RunResult& r) {
   }
 }
 
-const char* engine_name(chaos::EngineMode m) {
-  return m == chaos::EngineMode::kParallel ? "parallel" : "serial";
-}
-
-stats::JsonObject run_row(const chaos::Scenario& s, const chaos::RunResult& r,
-                          const chaos::RunOptions& opts) {
+stats::JsonObject run_row(const chaos::Scenario& s,
+                          const chaos::RunResult& r) {
   stats::JsonObject o;
   o.set("kind", "chaos_run")
       .set("scenario", s.name)
-      .set("engine", engine_name(opts.engine))
       .set("hash_epoch", chaos::kHashEpoch)
       .set("seed", static_cast<std::uint64_t>(r.seed))
       .set("trace_hash", static_cast<std::uint64_t>(r.trace_hash))
@@ -109,53 +92,16 @@ stats::JsonObject run_row(const chaos::Scenario& s, const chaos::RunResult& r,
       .set("lost", static_cast<std::int64_t>(r.stats.frames_lost))
       .set("duplicated",
            static_cast<std::int64_t>(r.stats.frames_duplicated));
-  // Counted identically by both engines now that every run partitions.
-  o.set("lookahead_violations",
-        static_cast<std::int64_t>(r.lookahead_violations));
   if (!r.violations.empty()) {
     o.set("first_violation", r.violations.front().invariant);
   }
   return o;
 }
 
-/// --engine compare: differential serial-vs-parallel check for one seed.
-int compare_run(const chaos::Scenario& scenario, std::uint64_t seed,
-                int workers, bench::JsonlReport& report) {
-  chaos::EngineComparison c = chaos::compare_engines(scenario, seed, workers);
-  std::printf("scenario=%s seed=%llu serial_digest=%016llx "
-              "parallel_digest=%016llx lookahead_violations=%llu : %s\n",
-              scenario.name.c_str(), static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(c.serial_digest),
-              static_cast<unsigned long long>(c.parallel_digest),
-              static_cast<unsigned long long>(c.parallel_lookahead_violations),
-              c.ok() ? "MATCH" : "DIVERGED");
-  if (c.replayed) {
-    std::printf("  replay: serial_hash=%016llx parallel_hash=%016llx "
-                "first_divergence=%zu\n",
-                static_cast<unsigned long long>(c.serial_hash),
-                static_cast<unsigned long long>(c.parallel_hash),
-                c.first_divergence);
-  }
-  stats::JsonObject o;
-  o.set("kind", "chaos_compare")
-      .set("scenario", scenario.name)
-      .set("hash_epoch", chaos::kHashEpoch)
-      .set("seed", static_cast<std::uint64_t>(seed))
-      .set("serial_digest", static_cast<std::uint64_t>(c.serial_digest))
-      .set("parallel_digest", static_cast<std::uint64_t>(c.parallel_digest))
-      .set("match", c.ok() ? 1 : 0)
-      .set("lookahead_violations",
-           static_cast<std::int64_t>(c.parallel_lookahead_violations));
-  report.row(o);
-  return c.ok() ? 0 : 1;
-}
-
 int single_run(const chaos::Scenario& scenario, std::uint64_t seed, bool dump,
-               bool shrink, const chaos::RunOptions& run_opts,
-               bench::JsonlReport& report) {
-  chaos::RunOptions opts = run_opts;
-  opts.keep_events = dump;
-  chaos::RunResult r = chaos::run_scenario(scenario, seed, nullptr, opts);
+               bool shrink, bench::JsonlReport& report) {
+  chaos::RunResult r = chaos::run_scenario(
+      scenario, seed, nullptr, chaos::RunOptions{.keep_events = dump});
   if (dump) {
     for (const auto& e : r.events) {
       std::printf("%10lld  %s\n", static_cast<long long>(e.at),
@@ -171,15 +117,11 @@ int single_run(const chaos::Scenario& scenario, std::uint64_t seed, bool dump,
               static_cast<unsigned long long>(r.stats.requests_completed),
               static_cast<unsigned long long>(r.stats.crashed_completions),
               r.ok() ? "OK" : "VIOLATIONS");
-  if (opts.engine == chaos::EngineMode::kParallel) {
-    std::printf("  engine=parallel lookahead_violations=%llu\n",
-                static_cast<unsigned long long>(r.lookahead_violations));
-  }
   for (const auto& w : r.warnings) {
     std::printf("  warning: %s\n", w.c_str());
   }
   print_violations(r);
-  report.row(run_row(scenario, r, opts));
+  report.row(run_row(scenario, r));
 
   if (shrink && !r.ok()) {
     int runs = 0;
@@ -208,7 +150,6 @@ int main(int argc, char** argv) {
   std::uint64_t single_seed = 0;
   bool have_single = false, dump = false, shrink = false;
   bool export_jsonl = false;
-  bool compare = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -240,24 +181,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage();
       sweep.max_failures = std::atoi(v);
-    } else if (a == "--engine") {
-      const char* v = next();
-      if (!v) return usage();
-      const std::string mode = v;
-      if (mode == "serial") {
-        sweep.run.engine = chaos::EngineMode::kSerial;
-      } else if (mode == "parallel") {
-        sweep.run.engine = chaos::EngineMode::kParallel;
-      } else if (mode == "compare") {
-        compare = true;
-      } else {
-        std::fprintf(stderr, "soda_chaos: unknown engine '%s'\n", v);
-        return usage();
-      }
-    } else if (a == "--workers") {
-      const char* v = next();
-      if (!v) return usage();
-      sweep.run.workers = std::atoi(v);
     } else if (a == "--seed") {
       const char* v = next();
       if (!v) return usage();
@@ -286,23 +209,8 @@ int main(int argc, char** argv) {
 
   bench::JsonlReport report("chaos");
 
-  if (compare) {
-    if (!have_single) {
-      // No --seed: compare engines across the sweep's seed range.
-      int failures = 0;
-      for (int i = 0; i < sweep.seeds; ++i) {
-        failures += compare_run(*scenario, sweep.first_seed + i,
-                                sweep.run.workers, report);
-      }
-      std::printf("%s: %d/%d seeds compared, %d divergence(s)\n",
-                  scenario->name.c_str(), sweep.seeds, sweep.seeds, failures);
-      return failures == 0 ? 0 : 1;
-    }
-    return compare_run(*scenario, single_seed, sweep.run.workers, report);
-  }
-
   if (have_single) {
-    return single_run(*scenario, single_seed, dump, shrink, sweep.run, report);
+    return single_run(*scenario, single_seed, dump, shrink, report);
   }
 
   sweep.on_failure = [&](const chaos::RunResult& r) {
@@ -310,7 +218,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.seed),
                 static_cast<unsigned long long>(r.trace_hash));
     print_violations(r);
-    report.row(run_row(*scenario, r, sweep.run));
+    report.row(run_row(*scenario, r));
   };
 
   chaos::SweepResult result = chaos::sweep_scenario(*scenario, sweep, nullptr);

@@ -112,17 +112,7 @@ sim::ResumeExecutor Client::executor_for_current_context() {
     };
   }
   // Task context: while the handler is BUSY the task must not run.
-  return [this, alive](std::coroutine_handle<> h) {
-    if (!*alive) {
-      h.destroy();
-      return;
-    }
-    if (in_handler_) {
-      deferred_.push_back(h);
-    } else {
-      h.resume();
-    }
-  };
+  return task_gated_executor();
 }
 
 }  // namespace soda

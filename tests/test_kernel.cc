@@ -315,6 +315,35 @@ TEST(Handler, AcceptBeforeRequestOrdering) {
   EXPECT_EQ(peer.order[1], 'E');  // then C1's request arrival
 }
 
+TEST(Handler, SecondAcceptOfUnreceivedRequestResolves) {
+  // Two ACCEPTs of a guessed signature this node never received, both
+  // issued before either is awaited: the first goes on the wire and the
+  // requester's kernel refuses it; the second must not displace or lose
+  // the first, and resolves CANCELLED at once (§3.3.2 item 6).
+  class Guesser : public SodalClient {
+   public:
+    sim::Task on_task() override {
+      const RequesterSignature guess{1, 5};
+      auto a = accept_signal(guess, 0);
+      auto b = accept_signal(guess, 0);
+      second = (co_await b).status;
+      first = (co_await a).status;
+      co_await park_forever();
+    }
+    std::optional<AcceptStatus> first;
+    std::optional<AcceptStatus> second;
+  };
+  Network net;
+  auto& g = net.spawn<Guesser>(NodeConfig{});
+  net.spawn<Idle>(NodeConfig{});
+  net.run_for(5 * sim::kSecond);
+  net.check_clients();
+  ASSERT_TRUE(g.second.has_value());
+  EXPECT_EQ(*g.second, AcceptStatus::kCancelled);
+  ASSERT_TRUE(g.first.has_value());
+  EXPECT_EQ(*g.first, AcceptStatus::kCancelled);
+}
+
 TEST(Handler, OpenCloseInsideHandlerDeferred) {
   class Closer : public SodalClient {
    public:

@@ -177,6 +177,41 @@ TEST(Cancel, BeforeDeliveryWaitsForAck) {
   EXPECT_EQ(srv.held.size(), 1u);
 }
 
+TEST(Cancel, TaskEndingOnAFailedCancel) {
+  // The server ACCEPTs at once, so the ACCEPT rides on the REQUEST's ack
+  // and fails the CANCEL queued behind that ack. The CANCEL's continuation
+  // resumes inline, ends the task and so DIEs (§4.1) while the kernel is
+  // still finishing the request: the death must win cleanly.
+  class Acceptor : public SodalClient {
+   public:
+    sim::Task on_boot(Mid) override {
+      advertise(kSlow);
+      co_return;
+    }
+    sim::Task on_entry(HandlerArgs) override {
+      co_await accept_current_signal(0);
+    }
+  };
+  class C : public SodalClient {
+   public:
+    sim::Task on_task() override {
+      const Tid t = signal(ServerSignature{0, kSlow}, 0);
+      status = co_await cancel(t);
+      done = true;
+    }
+    CancelStatus status = CancelStatus::kSuccess;
+    bool done = false;
+  };
+  Network net;
+  net.spawn<Acceptor>(NodeConfig{});
+  auto& c = net.spawn<C>(NodeConfig{});
+  net.run_for(sim::kSecond);
+  ASSERT_TRUE(c.done);
+  EXPECT_EQ(c.status, CancelStatus::kFail);
+  EXPECT_TRUE(net.node(1).kernel().client_dead());
+  EXPECT_EQ(net.node(1).kernel().live_requests(), 0);
+}
+
 TEST(Cancel, DoubleCancelSecondFails) {
   Network net;
   net.spawn<HoldingServer>(NodeConfig{});

@@ -53,7 +53,7 @@ class StarModNode {
   StarModNode(sim::Simulator& sim, net::Bus& bus, net::Mid mid,
               StarModCosts costs = {})
       : sim_(sim), bus_(bus), mid_(mid), costs_(costs), cpu_(sim, ledger_) {
-    bus_.attach(mid_, [this](const net::Frame& f) { on_frame(f); });
+    bus_.attach(mid_, [this](const net::FrameRef& f) { on_frame(*f); });
   }
   ~StarModNode() { bus_.detach(mid_); }
 

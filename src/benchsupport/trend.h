@@ -40,19 +40,6 @@ struct ScaleTrend {
   // aggregation key so the internetwork tiers (doc/INTERNET.md) never
   // merge with the single-segment rows they're compared against.
   int segments = 1;
-  // Simulation engine ("" / "serial" / "classic" = the classic serial
-  // loop, "windowed" = the serial epoch-2 window reference, "parallel" /
-  // "concurrent" = sim::ParallelEngine) and its worker count. Part of
-  // the aggregation key so engine rows diff against their own baselines,
-  // never against other engines on the same topology.
-  std::string engine;
-  int workers = 0;
-  // Pinned-hash epoch the row was recorded under (chaos::kHashEpoch;
-  // rows predating the hash_epoch column aggregate as epoch 1). Part of
-  // the aggregation key: the epoch-2 partition-local RNG streams changed
-  // every trace hash and event count, so epoch-1 rows must never pair
-  // with epoch-2 rows in a trend diff.
-  int epoch = 1;
   double opt_relayed = 0;  // gateway store-and-forward copies (segments > 1)
   double base_events = 0, opt_events = 0;        // events executed
   double base_scheduled = 0, opt_scheduled = 0;  // timer churn

@@ -194,12 +194,12 @@ class Kernel {
   /// the tie-break cursor, so repeated calls round-robin an idle pool.
   std::optional<Mid> anycast_pick(Pattern pattern);
 
+ private:
   /// Admission watermarks actually in force (fixed config values, or the
   /// EWMA-derived ones under config.adaptive_admission).
   std::size_t effective_backlog_watermark() const;
   int effective_offer_watermark() const;
 
- private:
   // One uncompleted REQUEST or DISCOVER and what its actions need.
   struct PendingRequest {
     Tid tid = kNoTid;

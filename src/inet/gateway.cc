@@ -26,7 +26,7 @@ void Gateway::attach_port(Port& port, std::size_t port_idx) {
   // delivers those to every station), the relay tap hears unicast frames
   // whose destination has no station on this segment — i.e. exactly the
   // cross-segment traffic.
-  port.bus->attach_ref(mid_, [this, port_idx](const net::FrameRef& f) {
+  port.bus->attach(mid_, [this, port_idx](const net::FrameRef& f) {
     on_frame(port_idx, f);
   });
   port.bus->add_relay_tap(mid_, [this, port_idx](const net::FrameRef& f) {

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -71,12 +72,9 @@ struct BusConfig {
   }
 };
 
-/// Receiver callback installed by a NIC.
-using FrameSink = std::function<void(const Frame&)>;
-
-/// Zero-copy receiver callback: the station shares the pooled frame and
-/// may retain the ref past the callback (e.g. into a deferred CPU work
-/// item) without copying the frame.
+/// Receiver callback installed by a NIC. The station shares the pooled
+/// frame and may retain the ref past the callback (e.g. into a deferred
+/// CPU work item) without copying the frame.
 using FrameRefSink = std::function<void(const FrameRef&)>;
 
 /// Deterministic loss predicate: return true to drop this (frame, receiver)
@@ -120,21 +118,8 @@ class Bus {
   /// Attach a station. Frames addressed to `mid` or to kBroadcastMid are
   /// delivered to `sink` after serialization + propagation delay. The
   /// station's per-node MetricsRegistry is bound here.
-  void attach(Mid mid, FrameSink sink) {
-    stations_[mid] = Station{std::move(sink),
-                             {},
-                             &sim_.metrics().node(mid),
-                             {},
-                             sim_.current_partition()};
-  }
-
-  /// Attach a station with a zero-copy sink: the pooled frame is shared,
-  /// not copied, and the sink may keep the ref alive past the call.
-  void attach_ref(Mid mid, FrameRefSink sink) {
-    stations_[mid] = Station{{},
-                             std::move(sink),
-                             &sim_.metrics().node(mid),
-                             {},
+  void attach(Mid mid, FrameRefSink sink) {
+    stations_[mid] = Station{std::move(sink), &sim_.metrics().node(mid), {},
                              sim_.current_partition()};
   }
 
@@ -169,56 +154,20 @@ class Bus {
     }
     const bool partitioned = sim_.partitioned();
 
-    // Legacy (epoch-1) send-side fault path: every draw comes from the
-    // single shared stream, in the historical order. Unpartitioned sims
-    // stay bit-identical to pre-epoch-2 builds.
-    auto deliver_to = [&](Mid mid) {
-      const bool dropped = loss_filter_
-                               ? loss_filter_(frame, mid)
-                               : sim_.rng().chance(config_.loss_probability);
-      if (dropped) {
-        sim_.trace().record(
-            sim_.now(), sim::TraceCategory::kPacketDropped, mid,
-            stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
-        frames_lost_.fetch_add(1, std::memory_order_relaxed);
-        if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
-        return;
-      }
-      const bool damaged =
-          corrupt_filter_ ? corrupt_filter_(frame, mid)
-                          : sim_.rng().chance(config_.corruption_probability);
-      sim::Duration jitter = 0;
-      if (config_.delivery_jitter > 0) {
-        jitter = sim_.rng().next_range(0, config_.delivery_jitter);
-      }
-      sim::Duration shaped = 0;
-      if (delay_filter_) {
-        shaped = std::max<sim::Duration>(0, delay_filter_(frame, mid));
-      }
-      const bool duplicated =
-          dup_filter_ ? dup_filter_(frame, mid)
-                      : sim_.rng().chance(config_.duplicate_probability);
-      sim::Duration dup_lag = 0;
-      if (duplicated) {
-        // The extra copy trails the original by an independent jitter draw
-        // (drawn even when jitter is 0 so dup faults don't perturb other
-        // streams' determinism when toggled together with jitter).
-        dup_lag = sim_.rng().next_range(0, std::max<sim::Duration>(
-                                               config_.delivery_jitter, 0));
-        frames_duplicated_.fetch_add(1, std::memory_order_relaxed);
-      }
-      schedule_delivery(mid, fref, wire + jitter + shaped, false, damaged);
-      if (duplicated) {
-        schedule_delivery(mid, fref, wire + jitter + shaped + dup_lag, true,
-                          damaged);
-      }
-    };
-
     auto launch = [&](Mid mid) {
       if (partitioned) {
         schedule_arrival(mid, fref, wire);
-      } else {
-        deliver_to(mid);
+        return;
+      }
+      // Legacy (epoch-1) send-side path: the draws come from the single
+      // shared stream at send time, and every delivery goes through the
+      // wheel. Unpartitioned sims stay bit-identical to pre-epoch-2 builds.
+      const std::optional<Faults> fx = draw_faults(frame, mid);
+      if (!fx) return;
+      schedule_delivery(mid, fref, wire + fx->delay, false, fx->damaged);
+      if (fx->duplicated) {
+        schedule_delivery(mid, fref, wire + fx->delay + fx->dup_lag, true,
+                          fx->damaged);
       }
     };
 
@@ -269,12 +218,6 @@ class Bus {
 
   const BusConfig& config() const { return config_; }
   void set_loss_probability(double p) { config_.loss_probability = p; }
-  void set_corruption_probability(double p) {
-    config_.corruption_probability = p;
-  }
-  void set_duplicate_probability(double p) {
-    config_.duplicate_probability = p;
-  }
 
   /// Install (or clear, with nullptr) a deterministic loss predicate.
   void set_loss_filter(LossFilter filter) { loss_filter_ = std::move(filter); }
@@ -335,12 +278,12 @@ class Bus {
           frames_filtered_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        dispatch(station, f);
+        station.sink(f);
       }
       return;
     }
     auto it = stations_.find(f->dst);
-    if (it != stations_.end()) dispatch(it->second, f);
+    if (it != stations_.end()) it->second.sink(f);
   }
 
   /// Deliver a frame to one specific station's sink, leaving the frame's
@@ -348,10 +291,9 @@ class Bus {
   /// broadcast address so kernels can recognise DISCOVER queries).
   void deliver_to_one(Mid station, const FrameRef& f) {
     auto it = stations_.find(station);
-    if (it != stations_.end()) dispatch(it->second, f);
+    if (it != stations_.end()) it->second.sink(f);
   }
 
-  bool station_attached(Mid mid) const { return stations_.count(mid) > 0; }
   sim::Simulator& simulator() { return sim_; }
   void count_sent(std::size_t bytes) {
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -367,8 +309,7 @@ class Bus {
 
  private:
   struct Station {
-    FrameSink sink;           // legacy copying sink
-    FrameRefSink sink_ref;    // zero-copy sink; wins when installed
+    FrameRefSink sink;
     stats::MetricsRegistry* metrics = nullptr;
     InterestFilter interest;  // empty = promiscuous (receive everything)
     int partition = 0;        // wheel affinity, captured at attach
@@ -384,14 +325,6 @@ class Bus {
   sim::TracePayload stamp(sim::TracePayload p) const {
     if (segment_ >= 0) p.with_detail(segment_);
     return p;
-  }
-
-  static void dispatch(const Station& s, const FrameRef& f) {
-    if (s.sink_ref) {
-      s.sink_ref(f);
-    } else {
-      s.sink(*f);
-    }
   }
 
   /// Partition with wheel affinity for deliveries addressed to `mid`: the
@@ -417,12 +350,19 @@ class Bus {
     sim_.after(wire, [this, mid, f = fref]() { on_arrival(mid, f); });
   }
 
-  /// Runs at +wire in the receiver's partition: take the loss/corrupt/
-  /// jitter/shaping/duplicate draws (same order as the legacy send-side
-  /// path, but from the receiver's stream and at arrival time), then
-  /// deliver inline or after the extra fault latency.
-  void on_arrival(Mid mid, const FrameRef& f) {
-    const Frame& frame = *f;
+  /// One delivery's fault draws (see draw_faults).
+  struct Faults {
+    bool damaged = false;       // CRC-discard at arrival
+    bool duplicated = false;    // deliver a second copy
+    sim::Duration delay = 0;    // jitter + shaping on top of wire time
+    sim::Duration dup_lag = 0;  // the copy's lag behind the original
+  };
+
+  /// Take the (frame, receiver) delivery's fault draws from the ambient
+  /// stream, in the order both epochs use: loss, corruption, jitter,
+  /// shaping, duplication, duplicate lag. A lost delivery is traced and
+  /// counted here and yields nullopt.
+  std::optional<Faults> draw_faults(const Frame& frame, Mid mid) {
     const bool dropped = loss_filter_
                              ? loss_filter_(frame, mid)
                              : sim_.rng().chance(config_.loss_probability);
@@ -432,41 +372,48 @@ class Bus {
           stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
       frames_lost_.fetch_add(1, std::memory_order_relaxed);
       if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
-      return;
+      return std::nullopt;
     }
-    const bool damaged =
-        corrupt_filter_ ? corrupt_filter_(frame, mid)
-                        : sim_.rng().chance(config_.corruption_probability);
-    sim::Duration jitter = 0;
+    Faults fx;
+    fx.damaged = corrupt_filter_
+                     ? corrupt_filter_(frame, mid)
+                     : sim_.rng().chance(config_.corruption_probability);
     if (config_.delivery_jitter > 0) {
-      jitter = sim_.rng().next_range(0, config_.delivery_jitter);
+      fx.delay = sim_.rng().next_range(0, config_.delivery_jitter);
     }
-    sim::Duration shaped = 0;
     if (delay_filter_) {
-      shaped = std::max<sim::Duration>(0, delay_filter_(frame, mid));
+      fx.delay += std::max<sim::Duration>(0, delay_filter_(frame, mid));
     }
-    const bool duplicated =
-        dup_filter_ ? dup_filter_(frame, mid)
-                    : sim_.rng().chance(config_.duplicate_probability);
-    sim::Duration dup_lag = 0;
-    if (duplicated) {
+    fx.duplicated = dup_filter_
+                        ? dup_filter_(frame, mid)
+                        : sim_.rng().chance(config_.duplicate_probability);
+    if (fx.duplicated) {
       // The extra copy trails the original by an independent jitter draw
       // (drawn even when jitter is 0 so dup faults don't perturb other
       // streams' determinism when toggled together with jitter).
-      dup_lag = sim_.rng().next_range(
+      fx.dup_lag = sim_.rng().next_range(
           0, std::max<sim::Duration>(config_.delivery_jitter, 0));
       frames_duplicated_.fetch_add(1, std::memory_order_relaxed);
     }
-    const sim::Duration extra = jitter + shaped;
-    if (extra == 0) {
+    return fx;
+  }
+
+  /// Runs at +wire in the receiver's partition: take the fault draws from
+  /// the receiver's stream at arrival time, then deliver inline or after
+  /// the extra fault latency.
+  void on_arrival(Mid mid, const FrameRef& f) {
+    const std::optional<Faults> fx = draw_faults(*f, mid);
+    if (!fx) return;
+    const bool damaged = fx->damaged;
+    if (fx->delay == 0) {
       finish_delivery(mid, f, false, damaged);
     } else {
-      sim_.after(extra, [this, mid, damaged, f]() {
+      sim_.after(fx->delay, [this, mid, damaged, f]() {
         finish_delivery(mid, f, false, damaged);
       });
     }
-    if (duplicated) {
-      const sim::Duration lag = extra + dup_lag;
+    if (fx->duplicated) {
+      const sim::Duration lag = fx->delay + fx->dup_lag;
       if (lag == 0) {
         finish_delivery(mid, f, true, damaged);
       } else {
@@ -521,7 +468,7 @@ class Bus {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kPacketReceived, mid,
                         stamp(payload));
     if (auto* m = it->second.metrics) m->add(stats::Counter::kFramesReceived);
-    dispatch(it->second, f);
+    it->second.sink(f);
   }
 
   sim::Simulator& sim_;

@@ -20,7 +20,7 @@ Transport::Transport(sim::Simulator& sim, net::Bus& bus, net::Mid mid,
       cpu_(cpu),
       metrics_(&sim.metrics().node(mid)),
       cb_(std::move(callbacks)) {
-  bus_.attach_ref(mid_, [this](const net::FrameRef& f) { on_bus_frame(f); });
+  bus_.attach(mid_, [this](const net::FrameRef& f) { on_bus_frame(f); });
 }
 
 Transport::~Transport() { bus_.detach(mid_); }

@@ -1,6 +1,8 @@
 // N-node scaling harness: stand up star-RPC, all-to-all DISCOVER-storm,
 // replicated-store and name-service topologies of 8..64 nodes under the
 // sim engine and measure where the per-operation cost stops being flat.
+// Every run uses the fast presets (TimingModel::fast(), BusConfig::fast(),
+// GatewayConfig::fast()): the 1984 constants cannot run 1024 nodes.
 //
 // A harness run is a pure function of its options (same determinism
 // contract as soda::chaos): the invariant checkers ride along on the
@@ -31,21 +33,16 @@ enum class Workload : std::uint8_t {
 
 const char* to_string(Workload w);
 
-/// Which engine drives the run (chaos::kHashEpoch tells the two hash
-/// families apart in JSONL rows):
-///  - kClassic: the unpartitioned single-queue serial engine — the epoch-1
-///    shared-RNG-stream configuration the original baseline rows and
-///    pre-epoch-2 pinned hashes were recorded under.
-///  - kWindowed: partitioned epoch-2 reference — the simulator walks the
-///    conservative window protocol one partition at a time on the calling
-///    thread (partition-local RNG streams, receiver-side bus draws,
-///    barrier-merged traces).
-///  - kConcurrent: the same epoch-2 window protocol with each window's
-///    partitions executed concurrently by sim::ParallelEngine and the
-///    observer path moved onto sim::AsyncTraceSink. Bit-identical events,
-///    RNG draws, and trace_hash to kWindowed by construction — asserted
-///    by tests/test_determinism.cc and tests/test_parallel_sim.cc.
-enum class ExecMode : std::uint8_t { kClassic, kWindowed, kConcurrent };
+/// Which engine drives the run:
+///  - kClassic: the unpartitioned single-queue serial engine that every
+///    baseline row and bench_scale run uses.
+///  - kWindowed: the simulator walks the conservative window protocol one
+///    partition at a time on the calling thread (partition-local RNG
+///    streams, receiver-side bus draws, barrier-merged traces). It stays
+///    for one test, InetScale.TwoSegmentThousandNodeStarRpcCompletes:
+///    classic leaves one op of that run TIMEDOUT on the BUSY count
+///    budget. It goes once ROADMAP's BUSY item lets classic complete it.
+enum class ExecMode : std::uint8_t { kClassic, kWindowed };
 
 const char* to_string(ExecMode m);
 
@@ -71,7 +68,6 @@ struct HarnessOptions {
   std::uint32_t payload = 64;
   double loss = 0.0;        // uniform frame-loss probability
   std::uint64_t seed = 1;
-  bool fast = true;       // TimingModel::fast() + BusConfig::fast()
   bool optimized = true;  // the three O(N) fixes on/off (before/after)
   /// Exponential retransmit backoff (TimingModel knob). Off by default —
   /// the fixed 1984 interval — so existing rows and pinned hashes stand;
@@ -79,13 +75,9 @@ struct HarnessOptions {
   /// silence window is what collapses there, EXPERIMENTS.md).
   bool retransmit_backoff = false;
   bool check_invariants = true;
-  /// Engine selection; kWindowed/kConcurrent partition the event queue
-  /// (one partition per segment, or per node on a single bus) and their
-  /// bench rows carry chaos::kHashEpoch.
+  /// Engine selection; kWindowed partitions the event queue (one
+  /// partition per segment, or per node on a single bus).
   ExecMode exec_mode = ExecMode::kClassic;
-  /// Worker pool size for the concurrent engine (window executors + fold
-  /// threads); 0 = hardware_concurrency.
-  int engine_workers = 0;
   sim::Duration max_sim_time = 120 * sim::kSecond;  // hard stop
 };
 
@@ -113,8 +105,8 @@ struct HarnessResult {
   std::uint64_t cpu_busy_micros = 0;   // summed over all node CPUs
   std::uint64_t violations = 0;
   std::uint64_t trace_hash = 0;
-  /// Cross-partition schedules under the lookahead window (parallel
-  /// engine only; 0 for every shipped topology — the bench gate).
+  /// Cross-partition schedules under the lookahead window (kWindowed
+  /// only; 0 for every shipped topology).
   std::uint64_t lookahead_violations = 0;
   std::string first_violation;     // empty when clean
 };

@@ -112,8 +112,7 @@ TEST(PinnedDeterminism, ScaleHarnessHashStableAcrossRepeats) {
 
   // The epoch-2 windowed reference (per-node partitions on the single
   // bus) hashes differently from classic — partition-local RNG streams
-  // replaced the shared one — but must itself be repeat-stable, and the
-  // concurrent engine must land on its exact hash and counters.
+  // replaced the shared one — but must itself be repeat-stable.
   o.exec_mode = scale::ExecMode::kWindowed;
   auto w1 = scale::run_harness(o);
   auto w2 = scale::run_harness(o);
@@ -126,15 +125,6 @@ TEST(PinnedDeterminism, ScaleHarnessHashStableAcrossRepeats) {
       << "epoch-2 partition-local streams should not reproduce the "
          "classic shared-stream hash — if they do, the streams were "
          "never actually split";
-
-  o.exec_mode = scale::ExecMode::kConcurrent;
-  o.engine_workers = 2;
-  auto p = scale::run_harness(o);
-  EXPECT_EQ(p.trace_hash, w1.trace_hash);
-  EXPECT_EQ(p.events_executed, w1.events_executed);
-  EXPECT_EQ(p.frames_sent, w1.frames_sent);
-  EXPECT_EQ(p.lookahead_violations, 0u);
-  EXPECT_EQ(p.violations, 0u) << p.first_violation;
 }
 
 }  // namespace

@@ -491,7 +491,6 @@ TEST(InetScale, TwoSegmentThousandNodeStarRpcCompletes) {
   o.segments = 2;
   o.ops_per_client = 12;
   o.seed = 4;
-  o.fast = true;
   o.optimized = true;
   o.retransmit_backoff = true;
   o.exec_mode = scale::ExecMode::kWindowed;

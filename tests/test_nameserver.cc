@@ -120,7 +120,9 @@ TEST(NameService, PathNormalization) {
     co_await ns_bind(self, ns_sig(), "//a///b/", ServerSignature{5, 5});
     auto sig = co_await ns_resolve(self, ns_sig(), "a/b");
     EXPECT_TRUE(sig.ok());
-    if (sig.ok()) EXPECT_EQ(sig->mid, 5);
+    if (sig.ok()) {
+      EXPECT_EQ(sig->mid, 5);
+    }
   });
   net.run_for(10 * sim::kSecond);
   net.check_clients();

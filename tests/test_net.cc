@@ -46,7 +46,7 @@ TEST(Bus, DeliversAfterSerializationDelay) {
   BusConfig cfg;
   Bus bus(s, cfg);
   sim::Time delivered_at = -1;
-  bus.attach(2, [&](const Frame&) { delivered_at = s.now(); });
+  bus.attach(2, [&](const FrameRef&) { delivered_at = s.now(); });
   Frame f = small_frame(1, 2);
   const auto wire = static_cast<sim::Duration>(f.wire_size()) *
                         cfg.us_per_byte +
@@ -60,8 +60,8 @@ TEST(Bus, UnicastDoesNotReachOthers) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int at2 = 0, at3 = 0;
-  bus.attach(2, [&](const Frame&) { ++at2; });
-  bus.attach(3, [&](const Frame&) { ++at3; });
+  bus.attach(2, [&](const FrameRef&) { ++at2; });
+  bus.attach(3, [&](const FrameRef&) { ++at3; });
   bus.send(small_frame(1, 2));
   s.run();
   EXPECT_EQ(at2, 1);
@@ -72,9 +72,9 @@ TEST(Bus, BroadcastReachesAllButSender) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int at1 = 0, at2 = 0, at3 = 0;
-  bus.attach(1, [&](const Frame&) { ++at1; });
-  bus.attach(2, [&](const Frame&) { ++at2; });
-  bus.attach(3, [&](const Frame&) { ++at3; });
+  bus.attach(1, [&](const FrameRef&) { ++at1; });
+  bus.attach(2, [&](const FrameRef&) { ++at2; });
+  bus.attach(3, [&](const FrameRef&) { ++at3; });
   bus.send(small_frame(1, kBroadcastMid));
   s.run();
   EXPECT_EQ(at1, 0);  // a station does not hear its own broadcast
@@ -88,7 +88,7 @@ TEST(Bus, LossDropsFrames) {
   cfg.loss_probability = 1.0;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 10; ++i) bus.send(small_frame(1, 2));
   s.run();
   EXPECT_EQ(got, 0);
@@ -101,7 +101,7 @@ TEST(Bus, CorruptionDiscardsAfterCrc) {
   cfg.corruption_probability = 1.0;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach(2, [&](const FrameRef&) { ++got; });
   bus.send(small_frame(1, 2));
   s.run();
   // The frame consumed wire time but the receiving interface dropped it.
@@ -116,7 +116,7 @@ TEST(Bus, PartialLossStatistically) {
   cfg.loss_probability = 0.5;
   Bus bus(s, cfg);
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach(2, [&](const FrameRef&) { ++got; });
   for (int i = 0; i < 400; ++i) bus.send(small_frame(1, 2));
   s.run();
   EXPECT_GT(got, 120);
@@ -127,7 +127,7 @@ TEST(Bus, DetachedStationHearsNothing) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int got = 0;
-  bus.attach(2, [&](const Frame&) { ++got; });
+  bus.attach(2, [&](const FrameRef&) { ++got; });
   bus.detach(2);
   bus.send(small_frame(1, 2));
   s.run();
@@ -137,7 +137,7 @@ TEST(Bus, DetachedStationHearsNothing) {
 TEST(Bus, StatsAccumulateAndReset) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
-  bus.attach(2, [](const Frame&) {});
+  bus.attach(2, [](const FrameRef&) {});
   Frame f = small_frame(1, 2);
   bus.send(f);
   bus.send(f);
@@ -152,7 +152,7 @@ TEST(Bus, DupFilterDeliversSecondCopy) {
   sim::Simulator s;
   Bus bus(s, BusConfig{});
   int deliveries = 0;
-  bus.attach(2, [&](const Frame&) { ++deliveries; });
+  bus.attach(2, [&](const FrameRef&) { ++deliveries; });
   bus.set_dup_filter([](const Frame&, Mid dst) { return dst == 2; });
   bus.send(small_frame(1, 2));
   s.run();
@@ -166,7 +166,7 @@ TEST(Bus, DupFilterDecliningMeansSingleDelivery) {
   cfg.duplicate_probability = 1.0;  // filter overrides the random draw
   Bus bus(s, cfg);
   int deliveries = 0;
-  bus.attach(2, [&](const Frame&) { ++deliveries; });
+  bus.attach(2, [&](const FrameRef&) { ++deliveries; });
   bus.set_dup_filter([](const Frame&, Mid) { return false; });
   bus.send(small_frame(1, 2));
   s.run();
@@ -179,7 +179,7 @@ TEST(Bus, DelayFilterAddsShapedLatency) {
   BusConfig cfg;
   Bus bus(s, cfg);
   sim::Time delivered_at = -1;
-  bus.attach(2, [&](const Frame&) { delivered_at = s.now(); });
+  bus.attach(2, [&](const FrameRef&) { delivered_at = s.now(); });
   bus.set_delay_filter(
       [](const Frame&, Mid) { return sim::Duration{1500}; });
   Frame f = small_frame(1, 2);

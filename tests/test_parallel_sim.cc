@@ -215,7 +215,8 @@ std::vector<Fired> drive_ref(std::uint64_t seed) {
   return log;
 }
 
-// A partitioned run's observable result: one execution log per partition.
+// A partitioned run's observable result: one execution log per partition,
+// plus the RNG draw each callback took from its partition's stream.
 // Per-partition (rather than one global vector) because that is the
 // epoch-2 unit of determinism — and because under the concurrent engine a
 // partition's log is written by whichever thread executes its window, so
@@ -223,6 +224,7 @@ std::vector<Fired> drive_ref(std::uint64_t seed) {
 // writer at a time (window barriers order successive windows).
 struct SimRun {
   std::vector<std::vector<Fired>> logs;
+  std::vector<std::vector<std::uint64_t>> draws;
   std::uint64_t violations = 0;
 };
 
@@ -235,22 +237,24 @@ SimRun drive_sim(std::uint64_t seed, int partitions, sim::Duration lookahead,
   }
   SimRun run;
   run.logs.resize(partitions > 0 ? static_cast<std::size_t>(partitions) : 1);
-  auto& logs = run.logs;
-  auto schedule = [&s, &logs, partitions](sim::Duration delay, int tag,
+  run.draws.resize(run.logs.size());
+  // Log the event, and one draw from the stream of the partition it runs on.
+  auto fire = [&s, &run](int tag) {
+    const auto p = static_cast<std::size_t>(s.current_partition());
+    run.logs[p].push_back(Fired{tag, s.now()});
+    run.draws[p].push_back(s.rng().next_u64());
+  };
+  auto schedule = [&s, &fire, partitions](sim::Duration delay, int tag,
                                           int part, bool spawn_child,
                                           int child_part) {
     sim::ScopedPartition guard(s, partitions > 0 ? part % partitions : 0);
-    return s.after(delay, [&s, &logs, tag, spawn_child, child_part,
+    return s.after(delay, [&s, &fire, tag, spawn_child, child_part,
                            partitions]() {
-      logs[static_cast<std::size_t>(s.current_partition())].push_back(
-          Fired{tag, s.now()});
+      fire(tag);
       if (spawn_child) {
         sim::ScopedPartition to_child(
             s, partitions > 0 ? child_part % partitions : 0);
-        s.after(17, [&s, &logs, tag]() {
-          logs[static_cast<std::size_t>(s.current_partition())].push_back(
-              Fired{kChildTagBase + tag, s.now()});
-        });
+        s.after(17, [&fire, tag]() { fire(kChildTagBase + tag); });
       }
     });
   };
@@ -355,16 +359,27 @@ TEST(ParallelSimDifferential, ConcurrentEngineMatchesWindowedReference) {
   // The tentpole contract: for identical (seed, partitions, lookahead,
   // run_until deadlines), the concurrent engine's per-partition execution
   // logs — events, order, AND firing times, clamped staged ops included —
-  // are bit-identical to the serial windowed walk's, for every worker
-  // count. The storms cover width-1 windows (lookahead 0), windows small
-  // against the schedule delays (64), and windows that swallow whole
-  // bursts (1000).
+  // and the RNG draws each event takes are bit-identical to the serial
+  // windowed walk's, for every worker count. Each partition draws exactly
+  // its own split stream (Rng(1, p): drive_sim's simulators keep the
+  // default seed), in execution order. The storms cover width-1 windows
+  // (lookahead 0), windows small against the schedule delays (64), and
+  // windows that swallow whole bursts (1000).
   for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull, 1984ull}) {
     const auto ref = drive_ref(seed);
     for (int partitions : {2, 4, 8}) {
       for (sim::Duration la :
            {sim::Duration{0}, sim::Duration{64}, sim::Duration{1000}}) {
         const auto windowed = drive_sim(seed, partitions, la);
+        for (int p = 0; p < partitions; ++p) {
+          const auto& drawn = windowed.draws[static_cast<std::size_t>(p)];
+          sim::Rng want(/*root_seed=*/1, static_cast<std::uint64_t>(p));
+          for (std::size_t i = 0; i < drawn.size(); ++i) {
+            ASSERT_EQ(drawn[i], want.next_u64())
+                << "windowed draw " << i << " of partition " << p
+                << " left its stream, seed " << seed;
+          }
+        }
         if (la == 0) {
           // Width-1 windows never clamp a staged op, so every event fires
           // at its reference time; only the within-instant order becomes
@@ -385,6 +400,10 @@ TEST(ParallelSimDifferential, ConcurrentEngineMatchesWindowedReference) {
                                       /*use_engine=*/true, workers);
           EXPECT_EQ(conc.logs, windowed.logs)
               << "concurrent engine diverged, seed " << seed
+              << " partitions " << partitions << " lookahead " << la
+              << " workers " << workers;
+          EXPECT_EQ(conc.draws, windowed.draws)
+              << "concurrent RNG draws diverged, seed " << seed
               << " partitions " << partitions << " lookahead " << la
               << " workers " << workers;
           EXPECT_EQ(conc.violations, windowed.violations)

@@ -28,7 +28,6 @@ HarnessOptions base_options(Workload w, int nodes, double loss) {
   o.ops_per_client = 8;
   o.loss = loss;
   o.seed = 11;
-  o.fast = true;
   o.optimized = true;
   return o;
 }
@@ -93,7 +92,6 @@ HarnessOptions pool_options(int pool_size) {
   o.pool_size = pool_size;
   o.ops_per_client = 6;
   o.seed = 11;
-  o.fast = true;
   o.optimized = true;
   o.retransmit_backoff = true;
   return o;
@@ -202,7 +200,7 @@ TEST(BusCorruptFilter, IsPerFrameReceiverDeterministic) {
 
   std::vector<net::Mid> delivered;
   for (net::Mid mid : {1, 2, 3}) {
-    bus.attach(mid, [&delivered, mid](const net::Frame&) {
+    bus.attach(mid, [&delivered, mid](const net::FrameRef&) {
       delivered.push_back(mid);
     });
   }
@@ -245,8 +243,8 @@ TEST(BusInterestFilter, SuppressesBroadcastsButNeverUnicast) {
   net::Bus bus(sim, net::BusConfig{});
 
   int station1 = 0, station2 = 0;
-  bus.attach(1, [&station1](const net::Frame&) { ++station1; });
-  bus.attach(2, [&station2](const net::Frame&) { ++station2; });
+  bus.attach(1, [&station1](const net::FrameRef&) { ++station1; });
+  bus.attach(2, [&station2](const net::FrameRef&) { ++station2; });
   bus.set_interest_filter(2, [](const net::Frame&) { return false; });
 
   net::Frame broadcast;

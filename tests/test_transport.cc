@@ -54,7 +54,8 @@ struct StubKernel {
             [this](Mid, const Frame& sent) { acked.push_back(sent); },
             [this](Mid, const Frame& sent, net::NackReason r) {
               failed.emplace_back(sent, r);
-            }});
+            },
+            /*on_busy=*/{}});
   }
   std::vector<Frame> held;
 };

@@ -8,12 +8,14 @@
 // trace hash. That also makes the seed sweep embarrassingly parallel.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "chaos/invariants.h"
+#include "chaos/observer.h"
 #include "chaos/scenario.h"
 #include "sim/trace.h"
 
@@ -23,35 +25,6 @@ namespace soda::chaos {
 /// factory (not a set) because every run needs fresh checker state.
 using InvariantFactory =
     std::function<std::vector<std::unique_ptr<Invariant>>()>;
-
-struct RunStats {
-  std::uint64_t requests_issued = 0;
-  std::uint64_t requests_completed = 0;  // terminal events, any status
-  std::uint64_t ok_completions = 0;      // terminal status kCompleted
-  std::uint64_t crashed_completions = 0;
-  std::uint64_t timedout_completions = 0;  // retry budget exhausted
-  /// Sequenced frames the Delta-t machinery re-answered from connection
-  /// state instead of redelivering (stats::Counter::kDuplicatesSuppressed
-  /// summed over all nodes) — one of the protocol statistics the fleet
-  /// harness cross-checks between real and simulated runs.
-  std::uint64_t duplicates_suppressed = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_lost = 0;
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t events = 0;  // trace events recorded
-};
-
-/// Pinned-trace-hash epoch. Every chaos run partitions the simulator (by
-/// segment, or by node on a single bus) on the single wheel: events pop
-/// in global (time, seq) order, each partition draws from its own RNG
-/// stream split from the root seed, bus fault draws happen at the
-/// receiver, unique ids come from per-serial sequences, and the trace is
-/// folded word-wise by hash_event. Epoch 1 was the shared-stream serial
-/// engine; epoch 2 walked lookahead windows one partition at a time and
-/// folded bytes with FNV-1a. Hashes of different epochs are not
-/// comparable, which is why chaos/bench JSONL rows carry this number.
-inline constexpr int kHashEpoch = 3;
 
 struct RunOptions {
   /// Retain the full event vector in RunResult (single-seed debugging;
@@ -111,57 +84,5 @@ SweepResult sweep_scenario(const Scenario& scenario,
 Scenario shrink_failure(const Scenario& scenario, std::uint64_t seed,
                         const InvariantFactory& extra = nullptr,
                         int* runs_used = nullptr);
-
-/// Fold one trace event into the running hash `h`; fold events in order
-/// starting from kTraceHashSeed to fingerprint a whole run. Inline: this
-/// runs once per trace event inside the observer.
-inline constexpr std::uint64_t kTraceHashSeed = 1469598103934665603ull;
-
-namespace detail {
-
-/// One odd multiplier per field, so each field's product is a bijection
-/// of the field and equal values in different fields weigh differently.
-inline constexpr std::array<std::uint64_t, 10> kFieldMul = {
-    0x9E3779B97F4A7C15ull, 0xBF58476D1CE4E5B9ull, 0x94D049BB133111EBull,
-    0xC2B2AE3D27D4EB4Full, 0x165667B19E3779F9ull, 0x85EBCA77C2B2AE63ull,
-    0x27D4EB2F165667C5ull, 0x9E3779B185EBCA87ull, 0xD6E8FEB86659FD93ull,
-    0xFF51AFD7ED558CCDull};
-inline constexpr std::uint64_t kChainMul = 0xC4CEB9FE1A85EC53ull;
-static_assert(
-    [] {
-      for (std::uint64_t m : kFieldMul) {
-        if ((m & 1) == 0) return false;
-      }
-      return (kChainMul & 1) == 1;
-    }(),
-    "every multiplier must be odd, or a step stops being a bijection");
-
-}  // namespace detail
-
-/// Word-wise fold (hash epoch 3): one multiply per 64-bit field. The ten
-/// products do not depend on `h`, so they issue in parallel; their sum
-/// enters the chain through one xor-multiply-xorshift. Every step is a
-/// bijection in each single input, so changing any one field of an event
-/// always changes the result, and the non-linear chain makes the result
-/// depend on event order.
-inline std::uint64_t hash_event(std::uint64_t h, const sim::TraceEvent& e) {
-  const std::array<std::uint64_t, 10> fields = {
-      static_cast<std::uint64_t>(e.at),
-      static_cast<std::uint64_t>(e.category),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(e.node)),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(e.peer)),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(e.tid)),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(e.pattern)),
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(e.size)),
-      static_cast<std::uint64_t>(e.sections),
-      static_cast<std::uint64_t>(e.status),
-      static_cast<std::uint64_t>(e.detail_i64(-1))};
-  std::uint64_t d = 0;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    d += fields[i] * detail::kFieldMul[i];
-  }
-  h = (h ^ d) * detail::kChainMul;
-  return h ^ (h >> 32);
-}
 
 }  // namespace soda::chaos

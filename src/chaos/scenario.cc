@@ -586,7 +586,7 @@ std::optional<Scenario> builtin_scenario(std::string_view name) {
     // §3.5 network-boot reboot of both a server and a client plus a
     // background loss floor. soda_fleet runs it over real UDP sockets;
     // soda_chaos runs the identical schedule in-sim as the validated
-    // twin. Mirrored in scenarios/fleet_smoke.json.
+    // twin.
     Scenario s;
     s.name = "fleet_smoke";
     s.nodes = 8;

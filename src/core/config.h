@@ -85,14 +85,6 @@ struct NodeConfig {
   /// default: the promiscuous path is the 1984-faithful model.
   bool nic_pattern_filter = false;
 
-  /// Anycast distance penalty (doc/INTERNET.md): a pool member seeded
-  /// from a DISCOVER reply that crossed gateways starts with a shed score
-  /// of hops * anycast_hop_bias, so the least-shed pick prefers same-
-  /// segment members until local pressure outweighs the extra hops. Local
-  /// replies arrive with hops == 0, so single-segment behaviour (and the
-  /// pinned trace hashes) are untouched.
-  std::uint32_t anycast_hop_bias = 4;
-
   TimingModel timing;
 };
 

@@ -714,6 +714,13 @@ void Kernel::note_service_sample(sim::Duration d) {
 
 namespace {
 constexpr std::uint32_t kShedScoreCap = 1024;
+/// Anycast distance penalty (doc/INTERNET.md): a pool member seeded from
+/// a DISCOVER reply that crossed gateways starts with a shed score of
+/// hops * kAnycastHopBias, so the least-shed pick prefers same-segment
+/// members until local pressure outweighs the extra hops. Local replies
+/// arrive with hops == 0, so single-segment behaviour (and the pinned
+/// trace hashes) are untouched.
+constexpr std::uint32_t kAnycastHopBias = 4;
 }  // namespace
 
 std::vector<Mid> Kernel::anycast_members(Pattern pattern) const {
@@ -749,7 +756,7 @@ void Kernel::anycast_note_member(Pattern pattern, Mid server,
   // least-shed pick keeps traffic on-segment until local members are
   // genuinely more loaded (doc/INTERNET.md). Local replies have hops 0.
   const std::uint32_t seed_score = std::min<std::uint32_t>(
-      static_cast<std::uint32_t>(hops) * config_.anycast_hop_bias,
+      static_cast<std::uint32_t>(hops) * kAnycastHopBias,
       kShedScoreCap);
   pool.members.insert(it, server);
   pool.shed.insert(pool.shed.begin() + static_cast<std::ptrdiff_t>(idx),

@@ -263,7 +263,7 @@ class Kernel {
 
   // anycast directory bookkeeping (no-ops for unknown patterns/members).
   // `hops` is the relay distance the seeding DISCOVER reply travelled; a
-  // first sighting starts at hops * config_.anycast_hop_bias shed score.
+  // first sighting starts at hops * kAnycastHopBias shed score.
   void anycast_note_member(Pattern pattern, Mid server,
                            std::uint8_t hops = 0);
   void anycast_note_shed(Pattern pattern, Mid server, std::uint8_t hint);

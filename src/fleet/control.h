@@ -63,6 +63,20 @@ class LineBuffer {
 
 // -------------------------------------------------------------- messages
 
+/// Trace categories a worker streams to the driver (and the driver's own
+/// node records): exactly the set the chaos invariant checkers consume
+/// (chaos/invariants.cc) — boot/death epochs, handler nesting, request
+/// issue/delivery/termination, accept outcomes.
+inline constexpr sim::TraceCategory kStreamedCategories[] = {
+    sim::TraceCategory::kBoot,
+    sim::TraceCategory::kHandlerInvoked,
+    sim::TraceCategory::kHandlerEnded,
+    sim::TraceCategory::kRequestIssued,
+    sim::TraceCategory::kRequestDelivered,
+    sim::TraceCategory::kRequestCompleted,
+    sim::TraceCategory::kAcceptCompleted,
+};
+
 /// Final per-worker counters, reported in the "stat" line. The client op
 /// counters cover the process's *current* client incarnation only (a
 /// SIGKILLed incarnation takes its counters down with it); the driver's

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/observer.h"
 #include "chaos/workload.h"
 #include "core/node.h"
 #include "fleet/control.h"
@@ -162,12 +163,36 @@ struct Action {
   int epoch;  // kRespawn: epoch of the new incarnation
 };
 
-struct MergedEvent {
-  sim::TraceEvent e;
-  std::uint64_t seq;
-};
+/// Which part of the run a control line arrives in (see `handle`).
+enum class Phase { kJoin, kRun, kDrain };
 
 }  // namespace
+
+void merge_trace(std::vector<sim::TraceEvent> events, sim::Time end,
+                 FleetResult& r) {
+  // Per-node order is exact (each worker stamps its own monotone sim
+  // clock; the synthesized death lands after the last streamed event of
+  // the killed incarnation). Cross-node order is approximate — bounded by
+  // the START delivery skew — which is the documented merge caveat
+  // (doc/FLEET.md): sort by shared-timeline time, arrival order on ties.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const sim::TraceEvent& a, const sim::TraceEvent& b) {
+                     return a.at < b.at;
+                   });
+  chaos::RunObserver observer;
+  for (const sim::TraceEvent& e : events) observer.on_event(e);
+  r.sim_end = events.empty() ? end : std::max(events.back().at, end);
+  observer.finish(r.sim_end);
+  r.violations = observer.violations();
+  const chaos::RunStats& st = observer.stats();
+  r.events = st.events;
+  r.issued = st.requests_issued;
+  r.terminal = st.requests_completed;
+  r.completed = st.ok_completions;
+  r.crashed = st.crashed_completions;
+  r.timedout = st.timedout_completions;
+  r.deliveries = st.deliveries;
+}
 
 FleetResult run_fleet(const FleetOptions& o) {
   FleetResult r;
@@ -211,21 +236,12 @@ FleetResult run_fleet(const FleetOptions& o) {
     return r;
   }
 
-  std::vector<MergedEvent> events;
-  std::uint64_t next_seq = 0;
+  std::vector<sim::TraceEvent> events;
   dsim.trace().disable_all();
-  for (const auto c :
-       {sim::TraceCategory::kBoot, sim::TraceCategory::kHandlerInvoked,
-        sim::TraceCategory::kHandlerEnded, sim::TraceCategory::kRequestIssued,
-        sim::TraceCategory::kRequestDelivered,
-        sim::TraceCategory::kRequestCompleted,
-        sim::TraceCategory::kAcceptCompleted}) {
-    dsim.trace().enable(c);
-  }
+  for (const auto c : kStreamedCategories) dsim.trace().enable(c);
   dsim.trace().set_store(false);
-  dsim.trace().set_observer([&](const sim::TraceEvent& e) {
-    events.push_back({e, next_seq++});
-  });
+  dsim.trace().set_observer(
+      [&](const sim::TraceEvent& e) { events.push_back(e); });
 
   UniqueIdSource uids;
   NodeConfig boot_config;
@@ -318,33 +334,112 @@ FleetResult run_fleet(const FleetOptions& o) {
     }
   };
 
+  // --- configuration + the shared timeline -----------------------------
+  auto config_blob = [&](int mid, int epoch, sim::Time offset) {
+    std::string blob = scenario_lines;
+    if (!blob.empty() && blob.back() != '\n') blob += '\n';
+    for (const auto& cp : conns) {
+      if (cp->mid >= 0 && cp->mid != mid && !cp->eof && !cp->killed) {
+        blob += peer_line(cp->mid, cp->udp_port);
+      }
+    }
+    blob += peer_line(bmid, dbus.port_of(static_cast<net::Mid>(bmid)));
+    blob += start_line(offset, speedup, 1 + epoch * kTidStride, o.drop);
+    return blob;
+  };
+  std::chrono::steady_clock::time_point t0;  // set at START
+  auto wall_us = [&] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(now_wall() -
+                                                                 t0)
+        .count();
+  };
+  auto sim_est = [&] {
+    return static_cast<sim::Time>(static_cast<double>(wall_us()) * speedup);
+  };
+
+  // --- the one control-message dispatch ---------------------------------
+  // HELLO identifies an incarnation. In the join phase that is all it
+  // does; during the run it also re-announces the membership, configures
+  // the newcomer and, past epoch 0, queues its network boot; once the run
+  // drains, a late HELLO is ignored.
+  int joined = 0;
+  auto handle = [&](Conn& c, const Message& msg, Phase phase) {
+    switch (msg.kind) {
+      case Message::Kind::kHello: {
+        if (phase == Phase::kDrain || c.mid >= 0 || msg.mid < 0 ||
+            msg.mid >= s.nodes) {
+          break;
+        }
+        c.mid = msg.mid;
+        c.epoch = msg.epoch;
+        c.udp_port = msg.port;
+        procs[static_cast<std::size_t>(c.mid)].conn = &c;
+        dbus.set_peer(static_cast<net::Mid>(c.mid), c.udp_port);
+        if (phase == Phase::kJoin) {
+          ++joined;
+          break;
+        }
+        const std::string pl = peer_line(c.mid, c.udp_port);
+        for (auto& other : conns) {
+          if (other->fd >= 0 && other->mid >= 0 && other->mid != c.mid) {
+            other->outq += pl;
+          }
+        }
+        c.outq += config_blob(c.mid, c.epoch, sim_est());
+        if (c.epoch > 0) {
+          ++r.reboots;
+          boot.enqueue(static_cast<net::Mid>(c.mid));
+        }
+        break;
+      }
+      case Message::Kind::kTrace:
+        if (msg.event) {
+          events.push_back(*msg.event);
+          c.last_ev_at = std::max(c.last_ev_at, msg.event->at);
+        }
+        break;
+      case Message::Kind::kStat:
+        c.stats = msg.stats;
+        c.stat_seen = true;
+        break;
+      case Message::Kind::kBye:
+        c.bye = true;
+        break;
+      default:
+        break;
+    }
+  };
+  // Read everything `c` has sent and handle each complete line. EOF or a
+  // hard read error closes the connection.
+  char buf[65536];
+  auto pump = [&](Conn& c, Phase phase) {
+    if (c.fd < 0) return;
+    for (;;) {
+      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
+      if (n > 0) {
+        c.lines.feed(buf, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+        c.eof = true;
+        ::close(c.fd);
+        c.fd = -1;
+      }
+      break;
+    }
+    while (auto line = c.lines.next_line()) {
+      if (auto msg = parse_message(*line)) handle(c, *msg, phase);
+    }
+  };
+
   // --- join phase: wait for every epoch-0 HELLO ------------------------
   const auto join_deadline = now_wall() + std::chrono::seconds(20);
-  int joined = 0;
   while (joined < s.nodes && now_wall() < join_deadline) {
     pollfd pfd{listen_fd, POLLIN, 0};
     (void)::poll(&pfd, 1, 50);
     accept_conns();
-    for (auto& cp : conns) {
-      Conn& c = *cp;
-      if (c.fd < 0 || c.mid >= 0) continue;
-      char buf[4096];
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) c.lines.feed(buf, static_cast<std::size_t>(n));
-      while (auto line = c.lines.next_line()) {
-        auto msg = parse_message(*line);
-        if (msg && msg->kind == Message::Kind::kHello && msg->mid >= 0 &&
-            msg->mid < s.nodes) {
-          c.mid = msg->mid;
-          c.epoch = msg->epoch;
-          c.udp_port = msg->port;
-          procs[static_cast<std::size_t>(c.mid)].conn = &c;
-          dbus.set_peer(static_cast<net::Mid>(c.mid), c.udp_port);
-          ++joined;
-          break;
-        }
-      }
-    }
+    for (auto& cp : conns) pump(*cp, Phase::kJoin);
     reap();
   }
   if (joined < s.nodes) {
@@ -365,34 +460,14 @@ FleetResult run_fleet(const FleetOptions& o) {
     return r;
   }
 
-  // --- configure + start -----------------------------------------------
-  auto config_blob = [&](int mid, int epoch, sim::Time offset) {
-    std::string blob = scenario_lines;
-    if (!blob.empty() && blob.back() != '\n') blob += '\n';
-    for (const auto& cp : conns) {
-      if (cp->mid >= 0 && cp->mid != mid && !cp->eof && !cp->killed) {
-        blob += peer_line(cp->mid, cp->udp_port);
-      }
-    }
-    blob += peer_line(bmid, dbus.port_of(static_cast<net::Mid>(bmid)));
-    blob += start_line(offset, speedup, 1 + epoch * kTidStride, o.drop);
-    return blob;
-  };
+  // --- start -----------------------------------------------------------
   for (auto& cp : conns) {
     if (cp->mid >= 0) {
       cp->outq += config_blob(cp->mid, cp->epoch, 0);
       flush_conn(*cp);
     }
   }
-  const auto t0 = now_wall();
-  auto wall_us = [&] {
-    return std::chrono::duration_cast<std::chrono::microseconds>(now_wall() -
-                                                                 t0)
-        .count();
-  };
-  auto sim_est = [&] {
-    return static_cast<sim::Time>(static_cast<double>(wall_us()) * speedup);
-  };
+  t0 = now_wall();
   r.ran = true;
 
   // --- fault schedule -> wall-clock actions ----------------------------
@@ -439,14 +514,13 @@ FleetResult run_fleet(const FleetOptions& o) {
     e.category = sim::TraceCategory::kBoot;
     e.node = c.mid;
     e.status = sim::TraceStatus::kKilled;
-    events.push_back({e, next_seq++});
+    events.push_back(e);
   };
 
   // --- main loop --------------------------------------------------------
   const sim::Time end = s.end_time();
   const auto deadline_us = static_cast<std::int64_t>(
       static_cast<double>(end) / speedup * o.wall_factor + 5'000'000.0);
-  char buf[65536];
   for (;;) {
     const auto wall = wall_us();
     if (wall > deadline_us) break;
@@ -518,65 +592,7 @@ FleetResult run_fleet(const FleetOptions& o) {
     // Drain every connection.
     for (auto& cp : conns) {
       Conn& c = *cp;
-      if (c.fd < 0) continue;
-      for (;;) {
-        const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-        if (n > 0) {
-          c.lines.feed(buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n == 0) {
-          c.eof = true;
-          ::close(c.fd);
-          c.fd = -1;
-        }
-        break;
-      }
-      while (auto line = c.lines.next_line()) {
-        auto msg = parse_message(*line);
-        if (!msg) continue;
-        switch (msg->kind) {
-          case Message::Kind::kHello: {
-            if (c.mid >= 0 || msg->mid < 0 || msg->mid >= s.nodes) break;
-            c.mid = msg->mid;
-            c.epoch = msg->epoch;
-            c.udp_port = msg->port;
-            Proc& p = procs[static_cast<std::size_t>(c.mid)];
-            p.conn = &c;
-            dbus.set_peer(static_cast<net::Mid>(c.mid), c.udp_port);
-            // Re-announce the membership change to every live worker.
-            const std::string pl = peer_line(c.mid, c.udp_port);
-            for (auto& other : conns) {
-              if (other->fd >= 0 && other->mid >= 0 &&
-                  other->mid != c.mid) {
-                other->outq += pl;
-              }
-            }
-            c.outq += config_blob(c.mid, c.epoch, sim_est());
-            if (c.epoch > 0) {
-              ++r.reboots;
-              boot.enqueue(static_cast<net::Mid>(c.mid));
-            }
-            break;
-          }
-          case Message::Kind::kTrace:
-            if (msg->event) {
-              events.push_back({*msg->event, next_seq++});
-              c.last_ev_at = std::max(c.last_ev_at, msg->event->at);
-            }
-            break;
-          case Message::Kind::kStat:
-            c.stats = msg->stats;
-            c.stat_seen = true;
-            break;
-          case Message::Kind::kBye:
-            c.bye = true;
-            break;
-          default:
-            break;
-        }
-      }
+      pump(c, Phase::kRun);
       if (c.eof && c.killed) synthesize_death(c);
       if (c.eof && !c.killed && !c.bye && c.mid >= 0 &&
           !c.death_synthesized) {
@@ -629,30 +645,8 @@ FleetResult run_fleet(const FleetOptions& o) {
   while (now_wall() < drain_deadline) {
     bool any_open = false;
     for (auto& cp : conns) {
-      Conn& c = *cp;
-      if (c.fd < 0) continue;
-      any_open = true;
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.lines.feed(buf, static_cast<std::size_t>(n));
-        while (auto line = c.lines.next_line()) {
-          auto msg = parse_message(*line);
-          if (msg && msg->kind == Message::Kind::kTrace && msg->event) {
-            events.push_back({*msg->event, next_seq++});
-            c.last_ev_at = std::max(c.last_ev_at, msg->event->at);
-          } else if (msg && msg->kind == Message::Kind::kStat) {
-            c.stats = msg->stats;
-            c.stat_seen = true;
-          } else if (msg && msg->kind == Message::Kind::kBye) {
-            c.bye = true;
-          }
-        }
-      } else if (n == 0 || (n < 0 && errno != EAGAIN && errno != EINTR &&
-                            errno != EWOULDBLOCK)) {
-        c.eof = true;
-        ::close(c.fd);
-        c.fd = -1;
-      }
+      any_open = any_open || cp->fd >= 0;
+      pump(*cp, Phase::kDrain);
     }
     if (!any_open) break;
     std::this_thread::yield();
@@ -667,46 +661,7 @@ FleetResult run_fleet(const FleetOptions& o) {
   ::close(listen_fd);
   dsim.trace().set_observer(nullptr);
 
-  // --- merge + invariants -----------------------------------------------
-  // Per-node order is exact (each worker stamps its own monotone sim
-  // clock; the synthesized death lands after the last streamed event of
-  // the killed incarnation). Cross-node order is approximate — bounded by
-  // the START delivery skew — which is the documented merge caveat
-  // (doc/FLEET.md): sort by shared-timeline time, arrival order on ties.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const MergedEvent& a, const MergedEvent& b) {
-                     return a.e.at < b.e.at;
-                   });
-  chaos::InvariantSet invariants = chaos::InvariantSet::standard();
-  sim::Time max_at = dsim.now();
-  for (const auto& me : events) {
-    invariants.on_event(me.e);
-    max_at = std::max(max_at, me.e.at);
-    switch (me.e.category) {
-      case sim::TraceCategory::kRequestIssued:
-        ++r.issued;
-        break;
-      case sim::TraceCategory::kRequestDelivered:
-        ++r.deliveries;
-        break;
-      case sim::TraceCategory::kRequestCompleted:
-        ++r.terminal;
-        if (me.e.status == sim::TraceStatus::kCompleted) {
-          ++r.completed;
-        } else if (me.e.status == sim::TraceStatus::kCrashed) {
-          ++r.crashed;
-        } else if (me.e.status == sim::TraceStatus::kTimedOut) {
-          ++r.timedout;
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  invariants.finish(std::max(max_at, end));
-  r.violations = invariants.violations();
-  r.events = events.size();
-  r.sim_end = std::max(max_at, end);
+  merge_trace(std::move(events), std::max(dsim.now(), end), r);
   r.boots_completed = boot.boots();
   r.boots_failed = boot.failures();
 

@@ -13,6 +13,7 @@
 
 #include "chaos/invariants.h"
 #include "chaos/scenario.h"
+#include "sim/trace.h"
 
 namespace soda::fleet {
 
@@ -67,6 +68,14 @@ struct FleetResult {
            violations.empty();
   }
 };
+
+/// The merge step of run_fleet: order the workers' streamed events on the
+/// shared timeline (by time, arrival order on ties), fold them through
+/// chaos::RunObserver, finish the invariants at the later of the last
+/// event and `end`, and fill `r`'s merged-trace fields, violations and
+/// sim_end.
+void merge_trace(std::vector<sim::TraceEvent> events, sim::Time end,
+                 FleetResult& r);
 
 /// Execute the scenario across real OS processes. Never throws; every
 /// environment failure lands in `skipped` / `skip_reason`.

@@ -140,7 +140,7 @@ void Gateway::on_frame(std::size_t port_idx, const net::FrameRef& f) {
   }
   learn(port_idx, frame);
   const int arrival_seg = ports_[port_idx].segment_id;
-  if (frame.hops >= config_.ttl) {
+  if (frame.hops >= kRelayHopLimit) {
     ++ttl_drops_;
     trace_relay(frame, sim::TraceStatus::kTtlExpired, arrival_seg);
     return;

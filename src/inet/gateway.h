@@ -14,7 +14,7 @@
 // on every traversal) and the MID of the last relay (Frame::relay_src).
 // A gateway never forwards a frame back onto the segment it arrived on,
 // drops its own echoes (relay_src == mid()), and drops anything that has
-// already travelled `ttl` hops — so redundant bridges and physical rings
+// already travelled kRelayHopLimit hops — so redundant bridges and physical rings
 // produce bounded transients, not broadcast storms. Duplicate copies that
 // do arrive over parallel paths are rejected by the protocol's
 // alternating-bit machinery exactly like bus-duplicated frames.
@@ -36,10 +36,11 @@
 
 namespace soda::inet {
 
+/// Maximum store-and-forward traversals before a frame is discarded.
+/// 4 crosses any topology we build (star, chain-of-3, ring) with slack.
+inline constexpr std::uint8_t kRelayHopLimit = 4;
+
 struct GatewayConfig {
-  /// Maximum store-and-forward traversals before a frame is discarded.
-  /// 4 crosses any topology we build (star, chain-of-3, ring) with slack.
-  std::uint8_t ttl = 4;
   /// Bounded egress queue per attached segment; overflow drops the frame
   /// (and traces kRelay/kQueueOverflow — routers shed, they don't block).
   std::size_t egress_queue_limit = 64;

@@ -96,19 +96,17 @@ struct TimingModel {
   /// interval is the paper-faithful calibration (and what the pinned
   /// trace hashes were recorded under).
   bool exponential_retransmit_backoff = false;
-  /// Ceiling on the retransmit doublings. -1 (the default) derives the
-  /// ceiling from the Delta-t envelope: the longest single silence gap
+  // The ceiling on the retransmit doublings (effective_backoff_doublings)
+  // is derived from the Delta-t envelope: the longest single silence gap
   /// between two transmissions of one frame, (interval << c) + jitter,
   /// must stay inside the receiver's record lifetime — otherwise the
   /// receiver ages out the connection record mid-backoff (take-any-SN)
   /// and the late retransmission is accepted as a *new* frame, breaking
   /// at-most-once delivery. Because exponential backoff is a per-node
   /// flag, a peer cannot be assumed to stretch its own record lifetime,
-  /// so the envelope uses the fixed (non-doubled) span: the lifetime any
-  /// 1984-faithful receiver is guaranteed to hold records for. Explicit
-  /// non-negative values override the derivation (tests_timing.cc pins
-  /// the boundary).
-  int retransmit_backoff_max_doublings = -1;
+  // so the envelope uses the fixed (non-doubled) span: the lifetime any
+  // 1984-faithful receiver is guaranteed to hold records for
+  // (test_timing.cc pins the boundary).
   sim::Duration probe_interval = 50'000;  // monitor delivered requests (§3.6.2)
   int max_probe_misses = 3;
 
@@ -127,13 +125,9 @@ struct TimingModel {
   sim::Duration fixed_record_lifetime() const {
     return 2 * mpl + fixed_retransmit_span() + max_ack_delay();
   }
-  /// The backoff ceiling actually in force: the explicit override when
-  /// retransmit_backoff_max_doublings >= 0, else the largest c whose
-  /// worst single gap (interval << c) + jitter fits fixed_record_lifetime.
+  /// The backoff ceiling: the largest c whose worst single gap
+  /// (interval << c) + jitter fits fixed_record_lifetime.
   int effective_backoff_doublings() const {
-    if (retransmit_backoff_max_doublings >= 0) {
-      return retransmit_backoff_max_doublings;
-    }
     const sim::Duration lifetime = fixed_record_lifetime();
     int c = 0;
     while (c < 16 &&

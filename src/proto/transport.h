@@ -140,10 +140,6 @@ class Transport {
   /// Number of connection records currently held (N-1 max, §5.2.2).
   std::size_t open_connections() const { return records_.size(); }
 
-  std::size_t retransmit_count() const { return retransmits_; }
-  std::size_t busy_nacks_received() const { return busy_nacks_; }
-  std::size_t busy_give_ups() const { return busy_give_ups_; }
-
  private:
   struct Record {
     // receive direction
@@ -209,9 +205,6 @@ class Transport {
   std::unordered_map<net::Mid, Record> records_;
   sim::Time rejoin_at_ = 0;
   std::uint64_t epoch_ = 0;  // bumped on reset(); invalidates timers
-  std::size_t retransmits_ = 0;
-  std::size_t busy_nacks_ = 0;
-  std::size_t busy_give_ups_ = 0;
 };
 
 }  // namespace soda::proto

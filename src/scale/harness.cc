@@ -6,14 +6,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/replicated_store.h"
-#include "chaos/invariants.h"
-#include "chaos/runner.h"
-#include "core/network.h"
-#include "inet/internet.h"
+#include "chaos/observer.h"
+#include "chaos/topology.h"
 #include "sodal/nameserver.h"
 #include "sodal/sodal.h"
 
@@ -295,75 +294,53 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   // Topology: segments == 1 keeps core::Network — the configuration every
   // committed baseline row and pinned hash was recorded under. Multi-
   // segment runs build an inet::Internet with a hub gateway instead.
-  const int segments = o.segments > 1 ? o.segments : 1;
-  std::unique_ptr<Network> net_single;
-  std::unique_ptr<inet::Internet> internet;
-  if (segments > 1) {
-    inet::Internet::Options iopts;
-    iopts.seed = o.seed;
-    iopts.segments = segments;
-    iopts.bus = net::BusConfig::fast();
-    iopts.gateway = inet::GatewayConfig::fast();
-    internet = std::make_unique<inet::Internet>(std::move(iopts));
-  } else {
-    Network::Options nopts;
-    nopts.seed = o.seed;
-    nopts.bus = net::BusConfig::fast();
-    net_single = std::make_unique<Network>(nopts);
-  }
-  auto& sim = net_single ? net_single->sim() : internet->sim();
-
-  // Partition the event queue before the first node schedules anything:
-  // one wheel per segment, or per node on a single bus (every cross-
-  // partition edge is then a bus delivery or gateway hold, both >= the
-  // declared lookahead, so the violation counter stays 0).
+  // kWindowed partitions the event queue before the first node schedules
+  // anything: one wheel per segment, or per node on a single bus (every
+  // cross-partition edge is then a bus delivery or gateway hold, both >=
+  // the declared lookahead, so the violation counter stays 0).
   const bool partitioned = o.exec_mode == ExecMode::kWindowed;
-  if (partitioned) {
-    sim.enable_partitions(segments > 1 ? segments : std::max(1, o.nodes));
-  }
+  chaos::Topology net(
+      o.seed, o.segments, /*fast=*/true, o.nodes,
+      partitioned ? std::optional(sim::PartitionMode::kWindowed)
+                  : std::nullopt);
+  auto& sim = net.sim();
 
-  chaos::InvariantSet invariants = chaos::InvariantSet::standard();
-  std::uint64_t hash = chaos::kTraceHashSeed;
+  chaos::RunObserver observer;
   if (o.check_invariants) {
     sim.trace().enable_all();
     sim.trace().set_store(false);
-    sim.trace().set_observer([&](const sim::TraceEvent& e) {
-      hash = chaos::hash_event(hash, e);
-      invariants.on_event(e);
-    });
+    observer.observe(sim.trace());
   }
 
   const int clients = o.nodes - o.servers;
   Tally tally;
   tally.per_client.assign(static_cast<std::size_t>(clients), 0);
-  for (int mid = 0; mid < o.nodes; ++mid) {
-    NodeConfig cfg;
-    cfg.timing = TimingModel::fast();
-    cfg.timing.batched_timer_bookkeeping = o.optimized;
-    cfg.nic_pattern_filter = o.optimized;
-    // The overload-robustness pair rides the same before/after switch:
-    // base rows keep the 1984-faithful linear BUSY ramp with no shedding.
-    cfg.timing.adaptive_busy_backoff = o.optimized;
-    cfg.timing.exponential_retransmit_backoff = o.retransmit_backoff;
-    if (!o.optimized) {
-      cfg.admit_backlog_watermark = 0;
-      cfg.admit_offer_watermark = 0;
-    }
-    // Pool runs measure the full anycast + load-adaptive stack; non-pool
-    // rows keep the fixed watermarks their baselines were recorded under.
-    cfg.adaptive_admission = o.pool_size > 0 && o.optimized;
-    Node& n = net_single
-                  ? net_single->add_node(std::move(cfg))
-                  : internet->add_node(mid % segments, std::move(cfg));
-    n.install_client(make_scale_client(o, mid, &tally), n.mid());
-  }
-  // The hub bridge takes MID == o.nodes, the next off the shared counter.
-  if (internet) internet->add_gateway();
+  net.populate(
+      [&](Mid) {
+        NodeConfig cfg;
+        cfg.timing = TimingModel::fast();
+        cfg.timing.batched_timer_bookkeeping = o.optimized;
+        cfg.nic_pattern_filter = o.optimized;
+        // The overload-robustness pair rides the same before/after switch:
+        // base rows keep the 1984-faithful linear BUSY ramp with no
+        // shedding.
+        cfg.timing.adaptive_busy_backoff = o.optimized;
+        cfg.timing.exponential_retransmit_backoff = o.retransmit_backoff;
+        if (!o.optimized) {
+          cfg.admit_backlog_watermark = 0;
+          cfg.admit_offer_watermark = 0;
+        }
+        // Pool runs measure the full anycast + load-adaptive stack;
+        // non-pool rows keep the fixed watermarks their baselines were
+        // recorded under.
+        cfg.adaptive_admission = o.pool_size > 0 && o.optimized;
+        return cfg;
+      },
+      [&](Mid mid) { return make_scale_client(o, mid, &tally); });
 
   if (o.loss > 0) {
-    for (int s = 0; s < segments; ++s) {
-      net::Bus& b = net_single ? net_single->bus() : internet->bus(s);
-      b.set_loss_filter([&sim, p = o.loss](const net::Frame&, Mid) {
+    for (int s = 0; s < net.segments(); ++s) {
+      net.bus(s).set_loss_filter([&sim, p = o.loss](const net::Frame&, Mid) {
         return sim.rng().chance(p);
       });
     }
@@ -373,10 +350,7 @@ HarnessResult run_harness(const HarnessOptions& opts) {
 
   // The lookahead and the sim.now() + slice deadlines fix the window
   // boundaries, which are part of the windowed hash contract.
-  if (partitioned) {
-    sim.set_lookahead(net_single ? net_single->bus().config().propagation
-                                 : internet->lookahead());
-  }
+  if (partitioned) sim.set_lookahead(net.lookahead());
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::uint64_t executed = 0;
@@ -385,12 +359,8 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  if (net_single) {
-    net_single->check_clients();
-  } else {
-    internet->check_clients();
-  }
-  if (o.check_invariants) invariants.finish(sim.now());
+  net.check_clients();
+  if (o.check_invariants) observer.finish(sim.now());
 
   HarnessResult r;
   r.sim_elapsed = sim.now();
@@ -403,17 +373,11 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   r.peak_rss_kb = read_peak_rss_kb();
   r.events_scheduled = sim.events_scheduled();
   r.events_cancelled = sim.events_cancelled();
-  for (int s = 0; s < segments; ++s) {
-    net::Bus& b = net_single ? net_single->bus() : internet->bus(s);
-    r.frames_sent += b.frames_sent();
-    r.frames_filtered += b.frames_filtered();
-  }
-  if (internet) {
-    for (const auto& g : internet->gateways()) {
-      r.frames_relayed += g->forwarded();
-      r.relay_drops += g->ttl_drops() + g->overflow_drops();
-    }
-  }
+  const chaos::Topology::Totals medium = net.totals();
+  r.frames_sent = medium.frames_sent;
+  r.frames_filtered = medium.frames_filtered;
+  r.frames_relayed = medium.frames_relayed;
+  r.relay_drops = medium.relay_drops;
   const auto& hub = sim.metrics();
   r.requests_issued = hub.total(stats::Counter::kRequestsIssued);
   r.requests_completed = hub.total(stats::Counter::kRequestsCompleted);
@@ -437,13 +401,11 @@ HarnessResult run_harness(const HarnessOptions& opts) {
           : static_cast<std::uint64_t>(o.ops_per_client);
   r.ops_expected = per_client * static_cast<std::uint64_t>(clients);
   if (o.check_invariants) {
-    const auto v = invariants.violations();
+    const auto v = observer.violations();
     r.violations = v.size();
     if (!v.empty()) r.first_violation = v.front().invariant + ": " +
                                         v.front().detail;
-    r.trace_hash = hash;
-    // The observer references locals of this frame; drop it before return.
-    sim.trace().set_observer(nullptr);
+    r.trace_hash = observer.hash();
   }
   r.lookahead_violations = sim.lookahead_violations();
   return r;

@@ -11,13 +11,11 @@
 // describe(); machine-readable JSONL by to_json()/trace_event_from_json().
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -178,9 +176,7 @@ std::optional<TraceEvent> trace_event_from_json(std::string_view line);
 using TraceObserver = std::function<void(const TraceEvent&)>;
 
 /// Collects trace events. Collection is opt-in per category set so that the
-/// hot path stays cheap when tracing is off. Per-category (and per
-/// category+node) counts are maintained incrementally, so count() is O(1)
-/// no matter how many events have been recorded.
+/// hot path stays cheap when tracing is off.
 class Trace {
  public:
   void enable_all() { mask_ = ~0ull; }
@@ -192,27 +188,26 @@ class Trace {
   void set_observer(TraceObserver observer) { observer_ = std::move(observer); }
 
   /// Whether recorded events are retained in events(). Long chaos sweeps
-  /// turn retention off and rely on the observer + counters instead.
+  /// turn retention off and rely on the observer instead.
   void set_store(bool store) { store_ = store; }
 
   /// Redirect this *thread's* record() calls into `buffer` (nullptr to
   /// restore the normal path). The partitioned epoch-2 executor points
   /// each worker at its partition's window buffer, so recording during
-  /// concurrent execution never touches the shared observer/retention/
-  /// counter state; the barrier replays the merged window through
+  /// concurrent execution never touches the shared observer/retention
+  /// state; the barrier replays the merged window through
   /// commit() in the canonical (time, partition) order.
   static void set_thread_buffer(std::vector<TraceEvent>* buffer) {
     thread_buffer() = buffer;
   }
 
   /// Deliver one already-built event through the normal sink path
-  /// (observer, retention, counters). Used by the window barrier; record()
+  /// (observer, retention). Used by the window barrier; record()
   /// is equivalent to building the event and committing it when no thread
   /// buffer is installed.
   void commit(const TraceEvent& e) {
     if (observer_) observer_(e);
     if (store_) events_.push_back(e);
-    bump_counts(e.category, e.node);
   }
 
   void record(Time at, TraceCategory c, int node,
@@ -227,32 +222,12 @@ class Trace {
       buf->push_back(e);
       return;
     }
-    if (observer_) observer_(e);
-    if (store_) events_.push_back(e);
-    bump_counts(c, node);
+    commit(e);
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
 
-  void clear() {
-    events_.clear();
-    totals_ = {};
-    node_counts_dense_.clear();
-    node_counts_.clear();
-  }
-
-  /// Count events in a category, optionally filtered by node. O(1).
-  std::size_t count(TraceCategory c, int node = -1) const {
-    if (node < 0) return totals_[static_cast<std::size_t>(c)];
-    const int row = node + 1;
-    if (row >= 0 && row < kDenseNodeRows) {
-      auto idx = static_cast<std::size_t>(row) * kNumTraceCategories +
-                 static_cast<std::size_t>(c);
-      return idx < node_counts_dense_.size() ? node_counts_dense_[idx] : 0;
-    }
-    auto it = node_counts_.find(node_key(c, node));
-    return it == node_counts_.end() ? 0 : it->second;
-  }
+  void clear() { events_.clear(); }
 
  private:
   static std::vector<TraceEvent>*& thread_buffer() {
@@ -260,43 +235,14 @@ class Trace {
     return buf;
   }
 
-  void bump_counts(TraceCategory c, int node) {
-    ++totals_[static_cast<std::size_t>(c)];
-    // Per-(category, node) counts live in a dense array indexed by node id
-    // (node -1 maps to row 0); arbitrary ids fall back to the map. This is
-    // once-per-event — a hash-map increment here shows up in profiles.
-    const int row = node + 1;
-    if (row >= 0 && row < kDenseNodeRows) {
-      auto idx = static_cast<std::size_t>(row) * kNumTraceCategories +
-                 static_cast<std::size_t>(c);
-      if (idx >= node_counts_dense_.size()) {
-        node_counts_dense_.resize((static_cast<std::size_t>(row) + 1) *
-                                  kNumTraceCategories);
-      }
-      ++node_counts_dense_[idx];
-    } else {
-      ++node_counts_[node_key(c, node)];
-    }
-  }
-
   static constexpr std::uint64_t bit(TraceCategory c) {
     return 1ull << static_cast<unsigned>(c);
   }
-  static constexpr std::uint64_t node_key(TraceCategory c, int node) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
-            << 8) |
-           static_cast<std::uint64_t>(c);
-  }
-  /// Nodes with ids below this threshold use the dense count array.
-  static constexpr int kDenseNodeRows = 4096;
 
   std::uint64_t mask_ = 0;
   bool store_ = true;
   TraceObserver observer_;
   std::vector<TraceEvent> events_;
-  std::array<std::size_t, kNumTraceCategories> totals_{};
-  std::vector<std::size_t> node_counts_dense_;  // [(node+1) * ncat + cat]
-  std::unordered_map<std::uint64_t, std::size_t> node_counts_;  // odd ids
 };
 
 }  // namespace soda::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "chaos/runner.h"
 #include "chaos/scenario.h"
 #include "fleet/control.h"
 #include "fleet/driver.h"
@@ -192,6 +193,56 @@ TEST(FleetE2E, SigkillAndNetworkBootReboot) {
   EXPECT_TRUE(r.violations.empty())
       << r.violations.front().invariant << ": "
       << r.violations.front().detail;
+}
+
+// The driver's merge, fed one simulated run's full trace in order, must
+// answer exactly what run_scenario's live observer answered: the same
+// trace-derived tallies and the same violations. This covers the merge
+// without forking, so it runs where the e2e tests skip.
+void expect_merge_matches_run(const chaos::Scenario& s, std::uint64_t seed,
+                              bool expect_violations) {
+  chaos::RunOptions keep;
+  keep.keep_events = true;
+  const chaos::RunResult run = chaos::run_scenario(s, seed, nullptr, keep);
+  ASSERT_EQ(run.events.size(), run.stats.events);
+  ASSERT_EQ(run.violations.empty(), !expect_violations);
+  FleetResult merged;
+  merge_trace(run.events, s.end_time(), merged);
+  EXPECT_EQ(merged.events, run.stats.events);
+  EXPECT_EQ(merged.issued, run.stats.requests_issued);
+  EXPECT_EQ(merged.terminal, run.stats.requests_completed);
+  EXPECT_EQ(merged.completed, run.stats.ok_completions);
+  EXPECT_EQ(merged.crashed, run.stats.crashed_completions);
+  EXPECT_EQ(merged.timedout, run.stats.timedout_completions);
+  EXPECT_EQ(merged.deliveries, run.stats.deliveries);
+  EXPECT_EQ(merged.sim_end, s.end_time());
+  ASSERT_EQ(merged.violations.size(), run.violations.size());
+  for (std::size_t i = 0; i < run.violations.size(); ++i) {
+    EXPECT_EQ(merged.violations[i].invariant, run.violations[i].invariant);
+    EXPECT_EQ(merged.violations[i].at, run.violations[i].at);
+    EXPECT_EQ(merged.violations[i].detail, run.violations[i].detail);
+  }
+}
+
+TEST(FleetMerge, ReproducesRunScenarioOnFleetSmoke) {
+  const auto s = chaos::builtin_scenario("fleet_smoke");
+  ASSERT_TRUE(s.has_value());
+  expect_merge_matches_run(*s, 1, /*expect_violations=*/false);
+}
+
+TEST(FleetMerge, ReproducesRunScenarioViolations) {
+  // Timers skewed far outside the Delta-t envelope under heavy loss and
+  // duplication: duplicate deliveries and unterminated requests, so the
+  // violation lists compared are not empty.
+  chaos::Scenario s;
+  s.name = "skew_outside_envelope";
+  s.nodes = 4;
+  s.duration = 4 * sim::kSecond;
+  s.drain = 6 * sim::kSecond;
+  s.request_interval = 70 * sim::kMillisecond;
+  s.accept_delay = 2 * sim::kMillisecond;
+  s.lose(0.3).duplicate(0.1).skew_timers(0, 0.3).skew_timers(2, 3.0);
+  expect_merge_matches_run(s, 1, /*expect_violations=*/true);
 }
 
 TEST(FleetE2E, BadWorkerPathSkips) {

@@ -190,15 +190,13 @@ TEST(ModComparison, BlockingSignalSlowerThanPipelinedStream) {
 
 // ---- derived retransmit-backoff ceiling (Delta-t envelope) ----
 
-// The ceiling is no longer a fixed constant: with the default -1 it is
-// derived as the largest c whose worst single silence gap,
+// The ceiling is no longer a fixed constant: it is derived as the largest c whose worst single silence gap,
 // (interval << c) + jitter, still fits inside the record lifetime a
 // 1984-faithful receiver is guaranteed to hold (fixed_record_lifetime).
 // Pin the boundary on both calibrations: one more doubling would overshoot
 // the envelope and a late retransmission would be taken as a new frame.
 TEST(Backoff, DerivedCeilingSitsOnTheEnvelopeBoundary) {
   for (const TimingModel& t : {TimingModel{}, TimingModel::fast()}) {
-    ASSERT_EQ(t.retransmit_backoff_max_doublings, -1);
     const int cap = t.effective_backoff_doublings();
     const sim::Duration lifetime = t.fixed_record_lifetime();
     EXPECT_LE((t.retransmit_interval << cap) + t.retransmit_jitter, lifetime);
@@ -214,18 +212,6 @@ TEST(Backoff, DerivedCeilingMatchesKnownCalibrations) {
   // trace hashes recorded under it stand.
   EXPECT_EQ(TimingModel{}.effective_backoff_doublings(), 3);
   EXPECT_EQ(TimingModel::fast().effective_backoff_doublings(), 4);
-}
-
-TEST(Backoff, ExplicitCeilingOverridesDerivation) {
-  TimingModel t = TimingModel::fast();
-  t.retransmit_backoff_max_doublings = 1;
-  EXPECT_EQ(t.effective_backoff_doublings(), 1);
-  t.retransmit_backoff_max_doublings = 0;  // plain fixed interval
-  EXPECT_EQ(t.effective_backoff_doublings(), 0);
-  // With the ceiling at 0 the exponential scheme degenerates to the fixed
-  // interval: the Delta-t arithmetic must agree exactly.
-  t.exponential_retransmit_backoff = true;
-  EXPECT_EQ(t.retransmit_span(), TimingModel::fast().retransmit_span());
 }
 
 TEST(Determinism, SameSeedSameResult) {

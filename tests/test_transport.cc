@@ -10,6 +10,7 @@
 #include "net/bus.h"
 #include "proto/transport.h"
 #include "sim/simulator.h"
+#include "stats/metrics.h"
 
 namespace soda::proto {
 namespace {
@@ -134,7 +135,7 @@ TEST_F(TransportTest, RetransmitsThroughLoss) {
   for (std::size_t i = 0; i < b.delivered.size(); ++i) {
     EXPECT_EQ(b.delivered[i].request->tid, static_cast<net::Tid>(i + 1));
   }
-  EXPECT_GT(a.tp->retransmit_count(), 0u);
+  EXPECT_GT(sim->metrics().node(1).counter(stats::Counter::kRetransmits), 0u);
   EXPECT_EQ(a.failed.size(), 0u);
 }
 
@@ -152,7 +153,8 @@ TEST_F(TransportTest, BusyNackCausesPacedRetry) {
   a.tp->send_sequenced(2, request_frame(1));
   sim->run_until(100 * sim::kMillisecond);
   EXPECT_EQ(b.delivered.size(), 0u);
-  EXPECT_GT(a.tp->busy_nacks_received(), 2u);  // kept retrying
+  // kept retrying
+  EXPECT_GT(sim->metrics().node(1).counter(stats::Counter::kBusyNacks), 2u);
   b.next_disposition = Disposition::kDeliver;
   sim->run_until(sim->now() + sim::kSecond);
   ASSERT_EQ(b.delivered.size(), 1u);  // eventually landed
@@ -270,7 +272,8 @@ TEST_F(TransportTest, BusyBudgetExhaustionFailsExactlyOnceWithTimedOut) {
   ASSERT_EQ(c.failed.size(), 1u);  // exactly one terminal report
   EXPECT_EQ(c.failed[0].first.request->tid, 1);
   EXPECT_EQ(c.failed[0].second, net::NackReason::kTimedOut);
-  EXPECT_EQ(c.tp->busy_give_ups(), 1u);
+  EXPECT_EQ(s.metrics().node(1).counter(stats::Counter::kBusyBudgetExhausted),
+            1u);
   EXPECT_EQ(d.delivered.size(), 0u);
   // The record advanced past the abandoned frame: traffic still flows.
   d.next_disposition = Disposition::kDeliver;
@@ -371,7 +374,7 @@ TEST_F(TransportTest, RejectHeldSendsBusy) {
   b.tp->reject_held(b.held.front());
   b.held.clear();
   sim->run_until(sim->now() + 20 * sim::kMillisecond);
-  EXPECT_GT(a.tp->busy_nacks_received(), 0u);
+  EXPECT_GT(sim->metrics().node(1).counter(stats::Counter::kBusyNacks), 0u);
 }
 
 TEST_F(TransportTest, ConnectionRecordExpiresAfterSilence) {

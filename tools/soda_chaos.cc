@@ -2,7 +2,7 @@
 //
 //   soda_chaos --list
 //   soda_chaos --scenario regression --seeds 1000 --jobs 8
-//   soda_chaos --scenario scenarios/regression.json --seed 77 --dump
+//   soda_chaos --scenario schedule.jsonl --seed 77 --dump
 //   soda_chaos --scenario smoke --seed 42 --shrink
 //
 // A sweep fans the scenario across seeds [first-seed, first-seed+seeds) on

@@ -2,7 +2,7 @@
 // it against its simulated twin (doc/FLEET.md).
 //
 //   soda_fleet --scenario fleet_smoke
-//   soda_fleet --scenario scenarios/fleet_smoke.json --nodes 33 --servers 3
+//   soda_fleet --scenario fleet_smoke --nodes 33 --servers 3
 //   soda_fleet --scenario fleet_smoke --speedup 5 --drop 0.01 --verbose
 //
 // The driver forks one soda_node worker per scenario node (each hosting a

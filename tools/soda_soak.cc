@@ -19,7 +19,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "chaos/invariants.h"
+#include "chaos/observer.h"
 #include "chaos/workload.h"
 #include "posix/udp_network.h"
 
@@ -106,9 +106,8 @@ int main(int argc, char** argv) {
   auto& sim = net.sim();
   sim.trace().enable_all();
   sim.trace().set_store(false);
-  chaos::InvariantSet invariants = chaos::InvariantSet::standard();
-  sim.trace().set_observer(
-      [&](const sim::TraceEvent& e) { invariants.on_event(e); });
+  chaos::RunObserver observer;
+  observer.observe(sim.trace());
   net.bus().set_drop_probability(o.drop);
 
   std::vector<chaos::EchoServer*> servers;
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
   } catch (const std::runtime_error& ex) {
     // No sockets (sandboxed CI, exhausted fds): not a protocol failure.
     std::printf("soda_soak: skipping, %s\n", ex.what());
-    sim.trace().set_observer(nullptr);
     return 0;
   }
 
@@ -147,8 +145,7 @@ int main(int argc, char** argv) {
   const bool finished =
       net.run_until([&] { return sim.now() >= end; }, wall_budget);
   net.check_clients();
-  invariants.finish(sim.now());
-  sim.trace().set_observer(nullptr);
+  observer.finish(sim.now());
 
   std::uint64_t completed = 0, crashed = 0, timedout = 0, served = 0;
   for (const auto* c : clients) {
@@ -171,7 +168,7 @@ int main(int argc, char** argv) {
               net.bus().datagrams_out(), net.bus().datagrams_in(),
               net.bus().dropped(), net.bus().decode_failures());
 
-  const auto violations = invariants.violations();
+  const auto violations = observer.violations();
   for (const auto& v : violations) {
     std::printf("  VIOLATION [%s] %s\n", v.invariant.c_str(),
                 v.detail.c_str());

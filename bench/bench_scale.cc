@@ -43,7 +43,6 @@ HarnessResult run(Workload w, int nodes, bool optimized, double loss,
   o.seed = seed;
   o.optimized = optimized;
   o.retransmit_backoff = backoff;
-  o.check_invariants = true;
   return run_harness(o);
 }
 

@@ -3,12 +3,15 @@
 // benches report *simulated* milliseconds; this one keeps us honest about
 // the cost of running them.
 //
-// `--check-allocs` runs an allocation audit instead of the benchmarks:
-// it exercises steady-state schedule/cancel/pop on a warmed timer wheel
-// with the global operator-new hook counting, and exits 1 loudly if the
-// hot path performed ANY heap allocation. This pins the zero-alloc claim
-// in doc/PERFORMANCE.md §1 against regressions (a callback outgrowing the
-// SBO buffer, a container resize leaking into steady state, ...).
+// `--check-allocs` runs two allocation audits instead of the benchmarks,
+// with the global operator-new hook counting, and exits 1 loudly if either
+// fails. The first exercises steady-state schedule/cancel/pop on a warmed
+// timer wheel and fails on ANY heap allocation: this pins the zero-alloc
+// claim in doc/PERFORMANCE.md §1 against regressions (a callback
+// outgrowing the SBO buffer, a container resize leaking into steady
+// state, ...). The second counts the heap allocations of the whole system
+// per SODAL blocking operation (a b_exchange round trip, an ns_bind) and
+// fails when a count rises above its recorded budget.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,10 +19,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "benchsupport/stream.h"
 #include "chaos/runner.h"
+#include "chaos/workload.h"
 #include "core/network.h"
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
@@ -413,7 +418,106 @@ std::size_t audit_steady_state() {
   return g_allocs;
 }
 
+// ---------------------------------------------------- SODAL alloc audit
+//
+// Heap allocations per blocking operation, whole system: both kernels, the
+// bus, the simulator and the client coroutines, on two nodes at default
+// timing. The client runs kWarmupOps operations so every table reaches its
+// steady size, then kAuditedOps with the hook counting. The run is
+// deterministic, so the counts are exact.
+
+constexpr int kWarmupOps = 1000;
+constexpr int kAuditedOps = 1000;
+
+/// Budgets: allocations across the kAuditedOps operations, measured when
+/// each SODAL helper became one sim::Future<T> coroutine (about 23.2 per
+/// b_exchange round trip and 29.2 per ns_bind; the Promise-plus-detached-
+/// loop helpers before made exactly as many). A rise is a regression.
+constexpr std::size_t kExchangeAllocBudget = 23158;
+constexpr std::size_t kNsBindAllocBudget = 29158;
+
+/// Issues back-to-back blocking operations at MID 0: b_exchange to the
+/// echo server, or ns_bind of one path to the name server.
+class AuditClient final : public sodal::SodalClient {
+ public:
+  explicit AuditClient(bool ns_bind) : ns_bind_(ns_bind) {}
+
+  sim::Task on_task() override {
+    const std::string path = "/audit/x";
+    for (int op = 0; op < kWarmupOps + kAuditedOps; ++op) {
+      if (op == kWarmupOps) {
+        g_allocs = g_frees = 0;
+        g_count_allocs = true;
+      }
+      if (ns_bind_) {
+        const Status st = co_await sodal::ns_bind(
+            *this, {0, sodal::kNameServerPattern}, path, {1, 7});
+        ok_ += st.ok();
+      } else {
+        Bytes in;
+        const sodal::Completion c = co_await b_exchange(
+            {0, chaos::kEchoPattern}, 0, Bytes(64), &in, 64);
+        ok_ += c.ok();
+      }
+    }
+    g_count_allocs = false;
+    done_ = true;
+    co_await park_forever();
+  }
+
+  bool done() const { return done_; }
+  int ok() const { return ok_; }
+
+ private:
+  bool ns_bind_;
+  bool done_ = false;
+  int ok_ = 0;
+};
+
+/// Heap allocations across the audited operations, or nullopt when an
+/// operation failed or the run did not finish.
+std::optional<std::size_t> audit_blocking_op(bool ns_bind) {
+  Network net;
+  if (ns_bind) {
+    net.spawn<sodal::NameServer>(NodeConfig{});
+  } else {
+    net.spawn<chaos::EchoServer>(NodeConfig{}, chaos::Scenario{});
+  }
+  auto& client = net.spawn<AuditClient>(NodeConfig{}, ns_bind);
+  for (int i = 0; i < 600 && !client.done(); ++i) net.run_for(sim::kSecond);
+  g_count_allocs = false;
+  net.check_clients();
+  if (!client.done() || client.ok() != kWarmupOps + kAuditedOps) {
+    return std::nullopt;
+  }
+  return g_allocs;
+}
+
 int run_check_allocs() {
+  int status = 0;
+  const struct {
+    const char* op;
+    bool ns_bind;
+    std::size_t budget;
+  } audits[] = {{"b_exchange", false, kExchangeAllocBudget},
+                {"ns_bind", true, kNsBindAllocBudget}};
+  for (const auto& a : audits) {
+    const auto allocs = audit_blocking_op(a.ns_bind);
+    if (!allocs) {
+      std::fprintf(stderr, "FAIL: the %s audit did not complete its %d "
+                   "operations.\n", a.op, kWarmupOps + kAuditedOps);
+      status = 1;
+      continue;
+    }
+    const bool over = *allocs > a.budget;
+    std::fprintf(over ? stderr : stdout,
+                 "%s: %zu heap allocations across %d %s operations "
+                 "(%.2f each; budget %zu).\n",
+                 over ? "FAIL" : "OK", *allocs, kAuditedOps, a.op,
+                 static_cast<double>(*allocs) / kAuditedOps, a.budget);
+    if (over) status = 1;
+  }
+
   const std::size_t allocs = audit_steady_state();
   if (allocs != 0) {
     std::fprintf(stderr,
@@ -428,7 +532,7 @@ int run_check_allocs() {
   }
   std::printf("OK: zero heap allocations across 4096 steady-state "
               "schedule/pop + 2048 schedule/cancel operations.\n");
-  return 0;
+  return status;
 }
 
 }  // namespace

@@ -165,29 +165,15 @@ struct FileHandle {
   bool valid() const { return sig.pattern != 0; }
 };
 
-namespace detail {
-inline sim::Task fs_open_loop(sodal::SodalClient& c, Mid fs,
-                              std::string name,
-                              sim::Promise<FileHandle> pr) {
+inline sim::Future<FileHandle> fs_open(sodal::SodalClient& c, Mid fs,
+                                       const std::string& name) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
   Bytes fd_b;
   auto done = co_await c.b_exchange(ServerSignature{fs, kFileOpenPattern}, 0,
                                     sodal::to_bytes(name), &fd_b, 8);
-  if (!done.ok() || fd_b.size() < 8) {
-    pr.set(FileHandle{});
-    co_return;
-  }
-  pr.set(FileHandle{ServerSignature{fs, sodal::decode_u64(fd_b) &
-                                            kPatternMask}});
-}
-}  // namespace detail
-
-inline sim::Future<FileHandle> fs_open(sodal::SodalClient& c, Mid fs,
-                                       const std::string& name) {
-  sim::Promise<FileHandle> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::fs_open_loop(c, fs, name, pr).detach();
-  return fut;
+  if (!done.ok() || fd_b.size() < 8) co_return FileHandle{};
+  co_return FileHandle{
+      ServerSignature{fs, sodal::decode_u64(fd_b) & kPatternMask}};
 }
 
 inline sim::Future<sodal::Completion> fs_read(sodal::SodalClient& c,

@@ -97,11 +97,11 @@ struct StoreWriteResult {
   }
 };
 
-namespace detail {
-inline sim::Task store_set_loop(sodal::SodalClient& c,
-                                std::vector<ServerSignature> group,
-                                std::string key, Bytes value,
-                                sim::Promise<StoreWriteResult> pr) {
+/// Replicate a write to the whole group (resolves with the write count).
+inline sim::Future<StoreWriteResult> store_set(
+    sodal::SodalClient& c, const std::vector<ServerSignature>& group,
+    const std::string& key, Bytes value) {
+  co_await sim::ResumeVia(c.task_gated_executor());
   Bytes kv = sodal::to_bytes(key);
   kv.push_back(std::byte{0});
   kv.insert(kv.end(), value.begin(), value.end());
@@ -109,13 +109,14 @@ inline sim::Task store_set_loop(sodal::SodalClient& c,
   StoreWriteResult r;
   r.replicas_written = mc.delivered;
   r.replicas_failed = mc.rejected + mc.failed;
-  pr.set(r);
+  co_return r;
 }
 
-inline sim::Task store_get_loop(sodal::SodalClient& c,
-                                std::vector<ServerSignature> group,
-                                std::string key,
-                                sim::Promise<std::optional<Bytes>> pr) {
+/// Read from the first live replica (nullopt: key absent everywhere).
+inline sim::Future<std::optional<Bytes>> store_get(
+    sodal::SodalClient& c, std::vector<ServerSignature> group,
+    std::string key) {
+  co_await sim::ResumeVia(c.task_gated_executor());
   // Try replicas in order until one answers; a crashed or key-less
   // replica fails the two-stage read and we move on.
   for (const auto& replica : group) {
@@ -123,46 +124,16 @@ inline sim::Task store_get_loop(sodal::SodalClient& c,
     if (!s1.ok()) continue;
     Bytes value;
     auto s2 = co_await c.b_get(replica, 3, &value, 2000);
-    if (s2.ok()) {
-      pr.set(std::move(value));
-      co_return;
-    }
-    if (s2.rejected()) {
-      pr.set(std::nullopt);  // authoritative: key absent
-      co_return;
-    }
+    if (s2.ok()) co_return value;
+    if (s2.rejected()) co_return std::nullopt;  // authoritative: key absent
   }
-  pr.set(std::nullopt);
-}
-}  // namespace detail
-
-/// Replicate a write to the whole group (resolves with the write count).
-inline sim::Future<StoreWriteResult> store_set(
-    sodal::SodalClient& c, const std::vector<ServerSignature>& group,
-    const std::string& key, Bytes value) {
-  sim::Promise<StoreWriteResult> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.task_gated_executor());
-  detail::store_set_loop(c, group, key, std::move(value), pr).detach();
-  return fut;
-}
-
-/// Read from the first live replica (nullopt: key absent everywhere).
-inline sim::Future<std::optional<Bytes>> store_get(
-    sodal::SodalClient& c, const std::vector<ServerSignature>& group,
-    const std::string& key) {
-  sim::Promise<std::optional<Bytes>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.task_gated_executor());
-  detail::store_get_loop(c, group, key, pr).detach();
-  return fut;
+  co_return std::nullopt;
 }
 
 /// DISCOVER the replica group.
-namespace detail {
-inline sim::Task store_find_loop(sodal::SodalClient& c,
-                                 sim::Promise<std::vector<ServerSignature>>
-                                     pr) {
+inline sim::Future<std::vector<ServerSignature>> store_find_replicas(
+    sodal::SodalClient& c) {
+  co_await sim::ResumeVia(c.task_gated_executor());
   Bytes mids;
   c.discover_request(kStoreReplica, &mids, 64);
   co_await c.delay(c.k().config().timing.discover_window +
@@ -172,17 +143,7 @@ inline sim::Task store_find_loop(sodal::SodalClient& c,
     group.push_back(ServerSignature{
         static_cast<Mid>(sodal::decode_u32(mids, i)), kStoreReplica});
   }
-  pr.set(std::move(group));
-}
-}  // namespace detail
-
-inline sim::Future<std::vector<ServerSignature>> store_find_replicas(
-    sodal::SodalClient& c) {
-  sim::Promise<std::vector<ServerSignature>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.task_gated_executor());
-  detail::store_find_loop(c, pr).detach();
-  return fut;
+  co_return group;
 }
 
 }  // namespace soda::apps

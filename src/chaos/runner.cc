@@ -168,16 +168,7 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   timings.reserve(static_cast<std::size_t>(scenario.nodes));
   net.populate(
       [&](Mid mid) {
-        NodeConfig cfg;
-        if (scenario.fast) cfg.timing = TimingModel::fast();
-        const int seg = mid % net.segments();
-        for (const Fault& f : scenario.faults) {
-          if (f.kind != FaultKind::kTimerSkew) continue;
-          const bool direct = f.node == mid;
-          const bool whole_segment =
-              f.node < 0 && f.segment >= 0 && f.segment == seg;
-          if (direct || whole_segment) apply_timer_skew(cfg.timing, f.factor);
-        }
+        NodeConfig cfg = node_config(scenario, mid);
         timings.push_back(cfg.timing);
         return cfg;
       },

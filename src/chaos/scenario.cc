@@ -176,19 +176,30 @@ Scenario& Scenario::skew_segment(int segment, double factor) {
   return *this;
 }
 
-void apply_timer_skew(TimingModel& t, double factor) {
-  auto scale = [factor](sim::Duration& d) {
-    d = static_cast<sim::Duration>(static_cast<double>(d) * factor + 0.5);
-  };
-  scale(t.ack_delay_window);
-  scale(t.retransmit_interval);
-  scale(t.retransmit_jitter);
-  scale(t.busy_retry_interval);
-  scale(t.busy_retry_growth);
-  scale(t.busy_retry_max);
-  scale(t.probe_interval);
-  scale(t.mpl);
-  scale(t.discover_window);
+NodeConfig node_config(const Scenario& s, int mid) {
+  NodeConfig cfg;
+  if (s.fast) cfg.timing = TimingModel::fast();
+  const int segment = s.segments > 1 ? mid % s.segments : 0;
+  for (const Fault& f : s.faults) {
+    if (f.kind != FaultKind::kTimerSkew) continue;
+    const bool covered =
+        f.node >= 0 ? f.node == mid : f.segment < 0 || f.segment == segment;
+    if (!covered) continue;
+    auto scale = [factor = f.factor](sim::Duration& d) {
+      d = static_cast<sim::Duration>(static_cast<double>(d) * factor + 0.5);
+    };
+    TimingModel& t = cfg.timing;
+    scale(t.ack_delay_window);
+    scale(t.retransmit_interval);
+    scale(t.retransmit_jitter);
+    scale(t.busy_retry_interval);
+    scale(t.busy_retry_growth);
+    scale(t.busy_retry_max);
+    scale(t.probe_interval);
+    scale(t.mpl);
+    scale(t.discover_window);
+  }
+  return cfg;
 }
 
 // ------------------------------------------------------------------ JSONL

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/config.h"
 #include "proto/timing.h"
 #include "sim/time.h"
 
@@ -58,7 +59,8 @@ struct Fault {
   sim::Duration reboot_after = 0;  // kCrash / kGatewayCrash: 0 = stays down
   /// Link faults: restrict the fault to one segment's bus (-1 = every
   /// segment). kTimerSkew with node == -1: skew every node on the segment
-  /// (cross-segment clock drift). Ignored by other kinds.
+  /// (cross-segment clock drift), or every node when it is -1. Ignored by
+  /// other kinds.
   int segment = -1;
 
   bool operator==(const Fault&) const = default;
@@ -131,9 +133,13 @@ struct Scenario {
   }
 };
 
-/// Scale every protocol timer of `t` by `factor` (Delta-t skew: the node's
-/// clock runs fast or slow relative to its peers').
-void apply_timer_skew(TimingModel& t, double factor);
+/// Station `mid`'s configuration: the fast preset when the scenario asks
+/// for it, with the protocol timers scaled by every timer skew that covers
+/// the station (Delta-t skew: its clock runs fast or slow relative to its
+/// peers'). A skew with node >= 0 covers that MID; one with node == -1
+/// covers every station on its `segment` (MID i lives on segment
+/// i % segments), or every station when `segment` is -1.
+NodeConfig node_config(const Scenario& s, int mid);
 
 /// Serialize to JSONL: a `{"kind":"scenario",...}` header line followed by
 /// one `{"kind":"fault",...}` line per fault. Times are microseconds.

@@ -149,13 +149,9 @@ std::string start_line(sim::Time sim_offset, double speedup,
   return o.str() + "\n";
 }
 
-std::string stop_line() { return "{\"kind\":\"stop\"}\n"; }
-
 std::string stat_line(const WorkerStats& s) {
   stats::JsonObject o;
   o.set("kind", "stat");
-  o.set("completed", s.completed).set("crashed", s.crashed);
-  o.set("timedout", s.timedout).set("served", s.served);
   o.set("datagrams_out", s.datagrams_out).set("datagrams_in", s.datagrams_in);
   o.set("dropped", s.dropped).set("send_drops", s.send_drops);
   o.set("decode_failures", s.decode_failures);
@@ -201,10 +197,6 @@ std::optional<Message> parse_message(std::string_view line) {
     m.drop = read_f64(*fields, "drop");
     return m;
   }
-  if (kind == "stop") {
-    m.kind = Message::Kind::kStop;
-    return m;
-  }
   if (kind == "trace") {
     m.kind = Message::Kind::kTrace;
     m.event = sim::trace_event_from_json(line);
@@ -214,10 +206,6 @@ std::optional<Message> parse_message(std::string_view line) {
   if (kind == "stat") {
     m.kind = Message::Kind::kStat;
     WorkerStats& s = m.stats;
-    s.completed = static_cast<std::uint64_t>(read_i64(*fields, "completed"));
-    s.crashed = static_cast<std::uint64_t>(read_i64(*fields, "crashed"));
-    s.timedout = static_cast<std::uint64_t>(read_i64(*fields, "timedout"));
-    s.served = static_cast<std::uint64_t>(read_i64(*fields, "served"));
     s.datagrams_out =
         static_cast<std::uint64_t>(read_i64(*fields, "datagrams_out"));
     s.datagrams_in =

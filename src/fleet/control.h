@@ -13,7 +13,6 @@
 //                      {"kind":"peer","mid":M,"port":P}
 //                      {"kind":"start","sim_offset":T,"speedup":X,
 //                       "initial_tid":N,"drop":P}
-//                      {"kind":"stop"}
 //
 // The trace stream reuses the sim::TraceEvent JSONL codec, so the driver
 // replays worker events straight into chaos::InvariantSet. Everything is
@@ -53,8 +52,6 @@ class LineBuffer {
   void feed(const char* data, std::size_t n);
   /// Next complete line (without the newline), or nullopt.
   std::optional<std::string> next_line();
-  /// Bytes sitting in the buffer (bounded by the driver's read cadence).
-  std::size_t pending() const { return buf_.size() - scan_; }
 
  private:
   std::string buf_;
@@ -77,12 +74,9 @@ inline constexpr sim::TraceCategory kStreamedCategories[] = {
     sim::TraceCategory::kAcceptCompleted,
 };
 
-/// Final per-worker counters, reported in the "stat" line. The client op
-/// counters cover the process's *current* client incarnation only (a
-/// SIGKILLed incarnation takes its counters down with it); the driver's
-/// authoritative op accounting comes from the merged trace stream.
+/// Final per-worker medium counters, reported in the "stat" line. The
+/// driver's op accounting comes from the merged trace stream.
 struct WorkerStats {
-  std::uint64_t completed = 0, crashed = 0, timedout = 0, served = 0;
   std::uint64_t datagrams_out = 0, datagrams_in = 0;
   std::uint64_t dropped = 0, send_drops = 0, decode_failures = 0;
   std::uint64_t duplicates_suppressed = 0;
@@ -96,7 +90,6 @@ struct Message {
     kScenarioLine,  // "scenario" or "fault": raw line for reassembly
     kPeer,
     kStart,
-    kStop,
     kTrace,
     kStat,
     kBye,
@@ -118,7 +111,6 @@ std::string hello_line(int mid, int epoch, std::uint16_t udp_port);
 std::string peer_line(int mid, std::uint16_t udp_port);
 std::string start_line(sim::Time sim_offset, double speedup,
                        std::int64_t initial_tid, double drop);
-std::string stop_line();
 std::string stat_line(const WorkerStats& s);
 std::string bye_line();
 

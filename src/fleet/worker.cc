@@ -43,11 +43,10 @@ int run_worker(const WorkerOptions& opts) {
   }
 
   // The one control-message dispatch: scenario lines and START configure
-  // the run (only the first START counts), PEER updates and STOP may
-  // arrive at any time.
+  // the run (only the first START counts), PEER updates may arrive at any
+  // time.
   std::string scenario_text;
   std::optional<Message> start;
-  bool stop = false;
   auto handle = [&](const Message& msg) {
     switch (msg.kind) {
       case Message::Kind::kScenarioLine:
@@ -61,9 +60,6 @@ int run_worker(const WorkerOptions& opts) {
       case Message::Kind::kStart:
         if (!start) start = msg;
         break;
-      case Message::Kind::kStop:
-        stop = true;
-        break;
       default:
         break;
     }
@@ -74,7 +70,7 @@ int run_worker(const WorkerOptions& opts) {
   LineBuffer lines;
   const auto cfg_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!start && !stop) {
+  while (!start) {
     if (std::chrono::steady_clock::now() > cfg_deadline) {
       ::close(fd);
       return 4;
@@ -91,12 +87,8 @@ int run_worker(const WorkerOptions& opts) {
     if (n > 0) lines.feed(buf, static_cast<std::size_t>(n));
     while (auto line = lines.next_line()) {
       if (auto msg = parse_message(*line)) handle(*msg);
-      if (start || stop) break;
+      if (start) break;
     }
-  }
-  if (stop) {
-    ::close(fd);
-    return 0;
   }
 
   auto scenario = chaos::scenario_from_jsonl(scenario_text);
@@ -106,15 +98,8 @@ int run_worker(const WorkerOptions& opts) {
     return 4;
   }
 
-  NodeConfig config;
-  if (scenario->fast) config.timing = TimingModel::fast();
+  NodeConfig config = chaos::node_config(*scenario, opts.mid);
   config.initial_tid = start->initial_tid;
-  for (const auto& f : scenario->faults) {
-    if (f.kind == chaos::FaultKind::kTimerSkew &&
-        (f.node == opts.mid || f.node == -1)) {
-      chaos::apply_timer_skew(config.timing, f.factor);
-    }
-  }
 
   // Anchor this incarnation's clock on the shared fleet timeline before
   // any node state exists: everything the kernel schedules, and every
@@ -196,7 +181,7 @@ int run_worker(const WorkerOptions& opts) {
       finished = true;
       break;
     }
-    // Drain driver commands (peer updates after reboots, early stop).
+    // Drain driver commands (peer updates after reboots).
     for (;;) {
       const ssize_t n = ::read(fd, buf, sizeof(buf));
       if (n == 0) {
@@ -212,10 +197,6 @@ int run_worker(const WorkerOptions& opts) {
     }
     while (auto line = lines.next_line()) {
       if (auto msg = parse_message(*line)) handle(*msg);
-    }
-    if (stop) {
-      finished = sim.now() >= end;
-      driver_gone = true;
     }
     // Opportunistic event flush; block (with a deadline) only when the
     // buffer has grown past the flush threshold. Shedding events is never
@@ -237,14 +218,6 @@ int run_worker(const WorkerOptions& opts) {
 
   // ---- teardown: final events + stat + bye ----------------------------
   WorkerStats st;
-  if (const auto* lc = dynamic_cast<chaos::LoadClient*>(node.client())) {
-    st.completed = lc->completed();
-    st.crashed = lc->crashed();
-    st.timedout = lc->timedout();
-  } else if (const auto* es =
-                 dynamic_cast<chaos::EchoServer*>(node.client())) {
-    st.served = es->served();
-  }
   st.datagrams_out = bus.datagrams_out();
   st.datagrams_in = bus.datagrams_in();
   st.dropped = bus.dropped();

@@ -306,11 +306,9 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   auto& sim = net.sim();
 
   chaos::RunObserver observer;
-  if (o.check_invariants) {
-    sim.trace().enable_all();
-    sim.trace().set_store(false);
-    observer.observe(sim.trace());
-  }
+  sim.trace().enable_all();
+  sim.trace().set_store(false);
+  observer.observe(sim.trace());
 
   const int clients = o.nodes - o.servers;
   Tally tally;
@@ -360,7 +358,7 @@ HarnessResult run_harness(const HarnessOptions& opts) {
   const auto wall_end = std::chrono::steady_clock::now();
 
   net.check_clients();
-  if (o.check_invariants) observer.finish(sim.now());
+  observer.finish(sim.now());
 
   HarnessResult r;
   r.sim_elapsed = sim.now();
@@ -400,13 +398,11 @@ HarnessResult run_harness(const HarnessOptions& opts) {
           ? 2 * static_cast<std::uint64_t>(o.ops_per_client)
           : static_cast<std::uint64_t>(o.ops_per_client);
   r.ops_expected = per_client * static_cast<std::uint64_t>(clients);
-  if (o.check_invariants) {
-    const auto v = observer.violations();
-    r.violations = v.size();
-    if (!v.empty()) r.first_violation = v.front().invariant + ": " +
-                                        v.front().detail;
-    r.trace_hash = observer.hash();
-  }
+  const auto v = observer.violations();
+  r.violations = v.size();
+  if (!v.empty()) r.first_violation = v.front().invariant + ": " +
+                                      v.front().detail;
+  r.trace_hash = observer.hash();
   r.lookahead_violations = sim.lookahead_violations();
   return r;
 }

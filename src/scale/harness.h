@@ -74,7 +74,6 @@ struct HarnessOptions {
   /// the 128/256-node tiers turn it on (the crash detector's constant
   /// silence window is what collapses there, EXPERIMENTS.md).
   bool retransmit_backoff = false;
-  bool check_invariants = true;
   /// Engine selection; kWindowed partitions the event queue (one
   /// partition per segment, or per node on a single bus).
   ExecMode exec_mode = ExecMode::kClassic;

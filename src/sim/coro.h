@@ -180,18 +180,34 @@ class Promise {
 
 /// Awaitable one-shot value. A Future may carry an executor describing the
 /// context of the awaiting coroutine; the Promise uses it on fulfilment.
+///
+/// Future<T> is also a coroutine return type: such a coroutine starts
+/// eagerly, `co_return v` fulfils the future through Promise<T>::set
+/// (resuming its awaiter), and the frame frees itself at the end. Its
+/// awaiter resumes inline unless the body first runs
+/// `co_await sim::ResumeVia(exec)`. An exception escaping the body is
+/// dropped and the future stays unfulfilled, as with a detached Task.
 template <typename T>
 class Future {
  public:
+  struct promise_type {
+    Promise<T> promise;
+
+    Future get_return_object() { return promise.future(); }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_value(T value) { promise.set(std::move(value)); }
+    void unhandled_exception() noexcept {}
+    void resume_via(ResumeExecutor exec) {
+      promise.future().set_executor(std::move(exec));
+    }
+  };
+
   Future() = default;
   explicit Future(std::shared_ptr<detail::FutureState<T>> s)
       : state_(std::move(s)) {}
 
   /// Arrange for the waiter to be resumed via `exec` instead of inline.
-  Future&& via(ResumeExecutor exec) && {
-    state_->executor = std::move(exec);
-    return std::move(*this);
-  }
   void set_executor(ResumeExecutor exec) { state_->executor = std::move(exec); }
 
   bool ready() const { return state_ && state_->value.has_value(); }
@@ -218,6 +234,27 @@ template <typename T>
 Future<T> Promise<T>::future() const {
   return Future<T>(state_);
 }
+
+/// `co_await sim::ResumeVia(exec)` in a Future-returning coroutine sets the
+/// executor its awaiting caller resumes through; it never suspends. Run it
+/// before any `co_return`. It has a constructor rather than being an
+/// aggregate because g++ 12 destroys the std::function of a brace-
+/// initialized aggregate in a co_await operand twice.
+class ResumeVia {
+ public:
+  explicit ResumeVia(ResumeExecutor exec) : exec_(std::move(exec)) {}
+
+  bool await_ready() const noexcept { return false; }
+  template <typename P>
+  bool await_suspend(std::coroutine_handle<P> h) {
+    h.promise().resume_via(std::move(exec_));
+    return false;  // continue at once
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  ResumeExecutor exec_;
+};
 
 /// A broadcast condition: tasks co_await wait(); notify_all() releases every
 /// current waiter. Used to express the paper's polling loops ("while not

@@ -124,55 +124,7 @@ class SodalClient : public Client {
   /// Blocking DISCOVER (§4.1.3): re-broadcasts until at least one server
   /// answers. More sophisticated clients use discover_request() directly.
   sim::Future<ServerSignature> discover(Pattern pattern) {
-    sim::Promise<ServerSignature> pr;
-    auto fut = pr.future();
-    fut.set_executor(task_gated_executor());
-    discover_loop(pattern, pr).detach();
-    return fut;
-  }
-
-  /// Issue a blocking request but also give the caller its TID (so it can
-  /// be cancelled from the handler, as the dining-philosophers deadlock
-  /// detector requires).
-  sim::Future<Completion> issue_blocking(Kernel::RequestParams params,
-                                         Tid* tid_out = nullptr) {
-    sim::Promise<Completion> pr;
-    auto fut = pr.future();
-    // The continuation is task-like whether or not we started inside the
-    // handler: end_handler_early() below may demote it.
-    fut.set_executor(task_gated_executor());
-    blocking_loop(std::move(params), pr, tid_out).detach();
-    return fut;
-  }
-
- private:
-  sim::Task blocking_loop(Kernel::RequestParams params,
-                          sim::Promise<Completion> pr, Tid* tid_out) {
-    // A blocking REQUEST from inside the handler performs the paper's
-    // saved-PC trick (§4.1.1): END the handler so the completion
-    // interrupt can be fielded; we resume as task-context code.
-    end_handler_early();
-    // The SODAL exception-handler strategy for MAXREQUESTS overflow
-    // (§4.1.2): postpone until some pending request completes.
-    for (;;) {
-      auto tid = k().request(params);
-      if (tid) {
-        if (tid_out) *tid_out = *tid;
-        sim::Promise<Completion> done;
-        blocking_.emplace(*tid, done);
-        auto f = done.future();
-        // Resume inline: the completion routing in on_handler hands the
-        // value over; gating happens on the caller's future.
-        Completion c = co_await f;
-        if (tid_out) *tid_out = kNoTid;
-        pr.set(c);
-        co_return;
-      }
-      co_await wait_on(slot_freed_);
-    }
-  }
-
-  sim::Task discover_loop(Pattern pattern, sim::Promise<ServerSignature> pr) {
+    co_await sim::ResumeVia(task_gated_executor());
     end_handler_early();  // blocking DISCOVER from the handler (§4.1.1)
     Bytes mids;
     for (;;) {
@@ -190,14 +142,45 @@ class SodalClient : public Client {
             (std::to_integer<std::uint32_t>(mids[1]) << 8) |
             (std::to_integer<std::uint32_t>(mids[2]) << 16) |
             (std::to_integer<std::uint32_t>(mids[3]) << 24));
-        pr.set(ServerSignature{m, pattern});
-        co_return;
+        co_return ServerSignature{m, pattern};
       }
       // Nobody answered: give the network a beat and ask again.
       co_await delay(20 * sim::kMillisecond);
     }
   }
 
+  /// Issue a blocking request but also give the caller its TID (so it can
+  /// be cancelled from the handler, as the dining-philosophers deadlock
+  /// detector requires).
+  sim::Future<Completion> issue_blocking(Kernel::RequestParams params,
+                                         Tid* tid_out = nullptr) {
+    // The continuation is task-like whether or not we started inside the
+    // handler: end_handler_early() below may demote it.
+    co_await sim::ResumeVia(task_gated_executor());
+    // A blocking REQUEST from inside the handler performs the paper's
+    // saved-PC trick (§4.1.1): END the handler so the completion
+    // interrupt can be fielded; we resume as task-context code.
+    end_handler_early();
+    // The SODAL exception-handler strategy for MAXREQUESTS overflow
+    // (§4.1.2): postpone until some pending request completes.
+    for (;;) {
+      auto tid = k().request(params);
+      if (tid) {
+        if (tid_out) *tid_out = *tid;
+        sim::Promise<Completion> done;
+        blocking_.emplace(*tid, done);
+        auto f = done.future();
+        // Resume inline: the completion routing in on_handler hands the
+        // value over; gating happens on the caller's future.
+        Completion c = co_await f;
+        if (tid_out) *tid_out = kNoTid;
+        co_return c;
+      }
+      co_await wait_on(slot_freed_);
+    }
+  }
+
+ private:
   std::map<Tid, sim::Promise<Completion>> blocking_;
   sim::CondVar slot_freed_;
   RequesterSignature current_asker_;

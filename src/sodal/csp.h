@@ -76,11 +76,130 @@ class CspProcess : public SodalClient {
   /// Resolves to the index of the chosen guard, or -1 when every guard
   /// failed (peer terminated / condition false).
   sim::Future<int> alt(std::vector<Guard> guards) {
-    sim::Promise<int> pr;
-    auto fut = pr.future();
-    fut.set_executor(executor_for_current_context());
-    alt_loop(std::move(guards), pr).detach();
-    return fut;
+    co_await sim::ResumeVia(executor_for_current_context());
+    state_ = State::kQuerying;
+    alt_ctx_ = &guards;
+    std::vector<bool> failed(guards.size(), false);
+    std::size_t viable = 0;
+    for (std::size_t i = 0; i < guards.size(); ++i) {
+      if (guards[i].condition) {
+        ++viable;
+      } else {
+        failed[i] = true;
+      }
+    }
+
+    // The outer retry loop closes a hole in the thesis's listing: a query
+    // can land in the peer's window *between* two of its own queries and
+    // be REJECTed without the delay rule applying; if the peer's
+    // remaining queries also miss, both sides would WAIT forever. A
+    // WAITING process therefore re-runs its query pass periodically —
+    // the paper's rejector-side comment ("we may eventually issue a
+    // REQUEST to the REJECTED client") made unconditional.
+    for (;;) {
+      if (viable == 0) {
+        state_ = State::kActive;
+        alt_ctx_ = nullptr;
+        co_await settle_delayed_rejections();
+        co_return -1;
+      }
+
+      state_ = State::kQuerying;
+      for (std::size_t i = 0; i < guards.size(); ++i) {
+        Guard& g = guards[i];
+        if (failed[i]) continue;
+        if (g.kind == Guard::Kind::kSkip) {
+          // A pure boolean guard that holds executes immediately.
+          state_ = State::kActive;
+          alt_ctx_ = nullptr;
+          co_await settle_delayed_rejections();
+          co_return static_cast<int>(i);
+        }
+
+        ServerSignature sig{g.peer, kCspIdentityPattern};
+        query_pending_ = true;
+        Completion c;
+        if (g.kind == Guard::Kind::kOutput) {
+          c = co_await b_put(sig, query_arg(g), g.out_value);
+        } else {
+          c = co_await b_get(sig, query_arg(g), g.in_value, g.in_size);
+        }
+        query_pending_ = false;
+
+        if (c.status == CompletionStatus::kCrashed ||
+            c.status == CompletionStatus::kUnadvertised) {
+          // The named process terminated: the guard fails (CSP rule).
+          failed[i] = true;
+          --viable;
+          continue;
+        }
+        if (c.rejected()) {
+          // The peer was not ready. First see whether someone we delayed
+          // can rendezvous with us right now (Bernstein's unblocking step).
+          const int di = take_delayed();
+          if (di >= 0) {
+            const Delayed d = delayed_saved_;
+            const int gi =
+                find_complement(d.asker.mid, d.tag, d.asker_outputs);
+            if (gi >= 0) {
+              co_await accept_delayed(guards[static_cast<std::size_t>(gi)],
+                                      d);
+              state_ = State::kActive;
+              alt_ctx_ = nullptr;
+              co_await settle_delayed_rejections();
+              co_return gi;
+            }
+            co_await reject(d.asker);
+          }
+          continue;  // try the next guard
+        }
+        // Completed: the peer accepted our query — rendezvous!
+        ++rendezvous_;
+        state_ = State::kActive;
+        alt_ctx_ = nullptr;
+        co_await settle_delayed_rejections();
+        co_return static_cast<int>(i);
+      }
+
+      if (viable == 0) continue;  // resolves to failure above
+
+      // Anyone we delayed during the pass may match one of our guards.
+      while (!delayed_.empty()) {
+        const Delayed d = delayed_.front();
+        delayed_.erase(delayed_.begin());
+        const int gi = find_complement(d.asker.mid, d.tag, d.asker_outputs);
+        if (gi >= 0) {
+          co_await accept_delayed(guards[static_cast<std::size_t>(gi)], d);
+          state_ = State::kActive;
+          alt_ctx_ = nullptr;
+          co_await settle_delayed_rejections();
+          co_return gi;
+        }
+        co_await reject(d.asker);
+      }
+
+      // WAIT for a matching query, with a retry backstop. The wake-up
+      // promise is captured by value in the timer so nothing dangles if
+      // the client dies first.
+      state_ = State::kWaiting;
+      matched_guard_ = -1;
+      sim::Promise<sim::Unit> wake;
+      wait_wake_ = wake;
+      auto wake_future = wake.future();
+      wake_future.set_executor(task_gated_executor());
+      sim().after(kWaitRetryInterval, [wake]() mutable {
+        if (!wake.fulfilled()) wake.set(sim::Unit{});
+      });
+      co_await wake_future;
+      wait_wake_.reset();
+      if (matched_guard_ >= 0) {
+        const int gi = matched_guard_;
+        alt_ctx_ = nullptr;
+        co_await settle_delayed_rejections();
+        co_return gi;
+      }
+      // Timed out: go around and re-query.
+    }
   }
 
   /// Variadic convenience: `co_await alt(g1, g2, ...)`. (Also sidesteps
@@ -192,138 +311,6 @@ class CspProcess : public SodalClient {
     state_ = State::kActive;
     if (wait_wake_ && !wait_wake_->fulfilled()) {
       wait_wake_->set(sim::Unit{});
-    }
-  }
-
-  sim::Task alt_loop(std::vector<Guard> guards, sim::Promise<int> pr) {
-    state_ = State::kQuerying;
-    alt_ctx_ = &guards;
-    std::vector<bool> failed(guards.size(), false);
-    std::size_t viable = 0;
-    for (std::size_t i = 0; i < guards.size(); ++i) {
-      if (guards[i].condition) {
-        ++viable;
-      } else {
-        failed[i] = true;
-      }
-    }
-
-    // The outer retry loop closes a hole in the thesis's listing: a query
-    // can land in the peer's window *between* two of its own queries and
-    // be REJECTed without the delay rule applying; if the peer's
-    // remaining queries also miss, both sides would WAIT forever. A
-    // WAITING process therefore re-runs its query pass periodically —
-    // the paper's rejector-side comment ("we may eventually issue a
-    // REQUEST to the REJECTED client") made unconditional.
-    for (;;) {
-      if (viable == 0) {
-        state_ = State::kActive;
-        alt_ctx_ = nullptr;
-        co_await settle_delayed_rejections();
-        pr.set(-1);
-        co_return;
-      }
-
-      state_ = State::kQuerying;
-      for (std::size_t i = 0; i < guards.size(); ++i) {
-        Guard& g = guards[i];
-        if (failed[i]) continue;
-        if (g.kind == Guard::Kind::kSkip) {
-          // A pure boolean guard that holds executes immediately.
-          state_ = State::kActive;
-          alt_ctx_ = nullptr;
-          co_await settle_delayed_rejections();
-          pr.set(static_cast<int>(i));
-          co_return;
-        }
-
-        ServerSignature sig{g.peer, kCspIdentityPattern};
-        query_pending_ = true;
-        Completion c;
-        if (g.kind == Guard::Kind::kOutput) {
-          c = co_await b_put(sig, query_arg(g), g.out_value);
-        } else {
-          c = co_await b_get(sig, query_arg(g), g.in_value, g.in_size);
-        }
-        query_pending_ = false;
-
-        if (c.status == CompletionStatus::kCrashed ||
-            c.status == CompletionStatus::kUnadvertised) {
-          // The named process terminated: the guard fails (CSP rule).
-          failed[i] = true;
-          --viable;
-          continue;
-        }
-        if (c.rejected()) {
-          // The peer was not ready. First see whether someone we delayed
-          // can rendezvous with us right now (Bernstein's unblocking step).
-          const int di = take_delayed();
-          if (di >= 0) {
-            const Delayed d = delayed_saved_;
-            const int gi =
-                find_complement(d.asker.mid, d.tag, d.asker_outputs);
-            if (gi >= 0) {
-              co_await accept_delayed(guards[static_cast<std::size_t>(gi)],
-                                      d);
-              state_ = State::kActive;
-              alt_ctx_ = nullptr;
-              co_await settle_delayed_rejections();
-              pr.set(gi);
-              co_return;
-            }
-            co_await reject(d.asker);
-          }
-          continue;  // try the next guard
-        }
-        // Completed: the peer accepted our query — rendezvous!
-        ++rendezvous_;
-        state_ = State::kActive;
-        alt_ctx_ = nullptr;
-        co_await settle_delayed_rejections();
-        pr.set(static_cast<int>(i));
-        co_return;
-      }
-
-      if (viable == 0) continue;  // resolves to failure above
-
-      // Anyone we delayed during the pass may match one of our guards.
-      while (!delayed_.empty()) {
-        const Delayed d = delayed_.front();
-        delayed_.erase(delayed_.begin());
-        const int gi = find_complement(d.asker.mid, d.tag, d.asker_outputs);
-        if (gi >= 0) {
-          co_await accept_delayed(guards[static_cast<std::size_t>(gi)], d);
-          state_ = State::kActive;
-          alt_ctx_ = nullptr;
-          co_await settle_delayed_rejections();
-          pr.set(gi);
-          co_return;
-        }
-        co_await reject(d.asker);
-      }
-
-      // WAIT for a matching query, with a retry backstop. The wake-up
-      // promise is captured by value in the timer so nothing dangles if
-      // the client dies first.
-      state_ = State::kWaiting;
-      matched_guard_ = -1;
-      sim::Promise<sim::Unit> wake;
-      wait_wake_ = wake;
-      auto wake_future = wake.future();
-      wake_future.set_executor(task_gated_executor());
-      sim().after(kWaitRetryInterval, [wake]() mutable {
-        if (!wake.fulfilled()) wake.set(sim::Unit{});
-      });
-      co_await wake_future;
-      wait_wake_.reset();
-      if (matched_guard_ >= 0) {
-        const int gi = matched_guard_;
-        alt_ctx_ = nullptr;
-        co_await settle_delayed_rejections();
-        pr.set(gi);
-        co_return;
-      }
-      // Timed out: go around and re-query.
     }
   }
 

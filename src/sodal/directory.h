@@ -65,10 +65,7 @@ class Directory {
     if (backend_ == Backend::kNameServer) {
       return ns_resolve(c, server_, name);
     }
-    sim::Promise<StatusOr<ServerSignature>> pr;
-    auto fut = detail::via_caller(c, pr);
-    resolve_once_loop(c, server_, name, pr).detach();
-    return fut;
+    return resolve_once(c, server_, name);
   }
 
   /// Blocking lookup: poll until the name appears (or the attempt budget
@@ -79,41 +76,35 @@ class Directory {
     if (backend_ == Backend::kSwitchboard) {
       return sb_lookup(c, server_, name, max_attempts);
     }
-    sim::Promise<StatusOr<ServerSignature>> pr;
-    auto fut = detail::via_caller(c, pr);
-    watch_ns_loop(c, server_, name, max_attempts, pr).detach();
-    return fut;
+    return watch_ns(c, server_, name, max_attempts);
   }
 
  private:
-  static sim::Task resolve_once_loop(
-      SodalClient& c, ServerSignature sb, std::string name,
-      sim::Promise<StatusOr<ServerSignature>> pr) {
+  static sim::Future<StatusOr<ServerSignature>> resolve_once(
+      SodalClient& c, ServerSignature sb, const std::string& name) {
+    co_await sim::ResumeVia(c.executor_for_current_context());
     StatusOr<ServerSignature> r = co_await sb_lookup(c, sb, name,
                                                      /*max_attempts=*/1);
     if (!r.ok() && r.code() == StatusCode::kTimedOut) {
       // One unregistered probe on the flat backend is this facade's
       // "unbound path".
-      pr.set(StatusOr<ServerSignature>(StatusCode::kNotFound));
-      co_return;
+      co_return StatusCode::kNotFound;
     }
-    pr.set(std::move(r));
+    co_return r;
   }
 
-  static sim::Task watch_ns_loop(SodalClient& c, ServerSignature ns,
-                                 std::string name, int max_attempts,
-                                 sim::Promise<StatusOr<ServerSignature>> pr) {
+  static sim::Future<StatusOr<ServerSignature>> watch_ns(
+      SodalClient& c, ServerSignature ns, std::string name,
+      int max_attempts) {
+    co_await sim::ResumeVia(c.executor_for_current_context());
     Status last = Status::error(StatusCode::kTimedOut);
     for (int i = 0; i < max_attempts; ++i) {
       StatusOr<ServerSignature> r = co_await ns_resolve(c, ns, name);
-      if (r.ok()) {
-        pr.set(std::move(r));
-        co_return;
-      }
+      if (r.ok()) co_return r;
       if (r.code() != StatusCode::kNotFound) last = r.status();
       co_await c.delay(25 * sim::kMillisecond);  // same pace as sb_lookup
     }
-    pr.set(StatusOr<ServerSignature>(last));
+    co_return last;
   }
 
   Backend backend_;

@@ -71,11 +71,28 @@ class LinkClient : public SodalClient {
   /// Establish a link to the LinkClient on `peer`. We hold the MASTER
   /// end. Resolves to kNoLink on failure.
   sim::Future<LinkId> connect_link(Mid peer) {
-    sim::Promise<LinkId> pr;
-    auto fut = pr.future();
-    fut.set_executor(executor_for_current_context());
-    connect_loop(peer, pr).detach();
-    return fut;
+    co_await sim::ResumeVia(executor_for_current_context());
+    Pattern mine = unique_id();
+    advertise(mine);
+    Bytes reply;
+    Completion c = co_await b_exchange(
+        ServerSignature{peer, kLinkServicePattern}, 0,
+        encode_sig(my_mid(), mine), &reply, 12);
+    if (!c.ok() || reply.size() < 12) {
+      unadvertise(mine);
+      co_return kNoLink;
+    }
+    const auto peer_sig = decode_sig(reply);
+    const Mid pmid = peer_sig.first;
+    const Pattern ppat = peer_sig.second;
+    LinkId id = alloc();
+    LinkEntry& e = links_[static_cast<std::size_t>(id)];
+    e.my_pattern = mine;
+    e.peer_mid = pmid;
+    e.peer_pattern = ppat;
+    e.state = EndState::kMaster;
+    e.installed = true;
+    co_return id;
   }
 
   /// Send over a link (argument must be >= 0). Retries transparently when
@@ -98,11 +115,63 @@ class LinkClient : public SodalClient {
   /// transparently to the far end. Resolves true on success; afterwards
   /// this client no longer holds the link.
   sim::Future<bool> move_link(LinkId id, Mid new_host) {
-    sim::Promise<bool> pr;
-    auto fut = pr.future();
-    fut.set_executor(executor_for_current_context());
-    move_loop(id, new_host, pr).detach();
-    return fut;
+    co_await sim::ResumeVia(executor_for_current_context());
+    if (!valid(id) || links_[static_cast<std::size_t>(id)].dead) {
+      co_return false;
+    }
+    LinkEntry& e = links_[static_cast<std::size_t>(id)];
+    e.moving = true;
+
+    // Become MASTER if we are the SLAVE end (§4.2.4 BecomeMaster).
+    while (e.state == EndState::kSlave) {
+      Bytes grant;
+      Completion c = co_await b_get(
+          ServerSignature{e.peer_mid, e.peer_pattern}, kLinkBecomeMaster,
+          &grant, 1);
+      if (c.ok() && !grant.empty() && grant[0] == std::byte{1}) {
+        e.state = EndState::kMaster;
+        break;
+      }
+      if (c.status != CompletionStatus::kCompleted) {
+        e.moving = false;
+        e.dead = true;
+        co_return false;
+      }
+      co_await delay(10 * sim::kMillisecond);  // master end is moving; retry
+    }
+
+    // Install the new MASTER end at new_host (carrying the far end's
+    // signature), learn its pattern.
+    Bytes reply;
+    Completion c = co_await b_exchange(
+        ServerSignature{new_host, kLinkServicePattern}, 1,
+        encode_sig(e.peer_mid, e.peer_pattern), &reply, 12);
+    if (!c.ok() || reply.size() < 12) {
+      e.moving = false;
+      co_return false;
+    }
+    const auto new_sig = decode_sig(reply);
+    const Mid nmid = new_sig.first;
+    const Pattern npat = new_sig.second;
+
+    // Tell the far end to retarget its table (-2), then tell the new end
+    // the move is complete (-3).
+    c = co_await b_put(ServerSignature{e.peer_mid, e.peer_pattern},
+                       kLinkMoved, encode_sig(nmid, npat));
+    const bool told_peer = c.ok();
+    c = co_await b_signal(ServerSignature{nmid, npat}, kLinkInstalled);
+
+    // Release our end.
+    if (e.want_to_move) {
+      // A delayed become-master request: grant FAILED so it retries
+      // against the new master.
+      Bytes denied(1, std::byte{0});
+      co_await accept_get(*e.want_to_move, 0, std::move(denied));
+      e.want_to_move.reset();
+    }
+    unadvertise(e.my_pattern);
+    e.used = false;
+    co_return told_peer && c.ok();
   }
 
   /// INTRODUCE (§4.2.4): "A process that possesses two links may
@@ -110,11 +179,14 @@ class LinkClient : public SodalClient {
   /// processes have a link between themselves." We tell the process at
   /// the end of `a` to connect to the machine at the end of `b`.
   sim::Future<bool> introduce(LinkId a, LinkId b) {
-    sim::Promise<bool> pr;
-    auto fut = pr.future();
-    fut.set_executor(task_gated_executor());
-    introduce_loop(a, b, pr).detach();
-    return fut;
+    co_await sim::ResumeVia(task_gated_executor());
+    if (!valid(a) || !valid(b)) co_return false;
+    const Mid target = links_[static_cast<std::size_t>(b)].peer_mid;
+    LinkEntry& ea = links_[static_cast<std::size_t>(a)];
+    Completion c = co_await b_put(
+        ServerSignature{ea.peer_mid, ea.peer_pattern}, kLinkIntroduce,
+        encode_u32(static_cast<std::uint32_t>(target)));
+    co_return c.ok();
   }
 
   /// Destroy our end: the far end's next request fails UNADVERTISED and
@@ -295,38 +367,12 @@ class LinkClient : public SodalClient {
     return kNoLink;
   }
 
-  sim::Task connect_loop(Mid peer, sim::Promise<LinkId> pr) {
-    Pattern mine = unique_id();
-    advertise(mine);
-    Bytes reply;
-    Completion c = co_await b_exchange(
-        ServerSignature{peer, kLinkServicePattern}, 0,
-        encode_sig(my_mid(), mine), &reply, 12);
-    if (!c.ok() || reply.size() < 12) {
-      unadvertise(mine);
-      pr.set(kNoLink);
-      co_return;
-    }
-    const auto peer_sig = decode_sig(reply);
-    const Mid pmid = peer_sig.first;
-    const Pattern ppat = peer_sig.second;
-    LinkId id = alloc();
-    LinkEntry& e = links_[static_cast<std::size_t>(id)];
-    e.my_pattern = mine;
-    e.peer_mid = pmid;
-    e.peer_pattern = ppat;
-    e.state = EndState::kMaster;
-    e.installed = true;
-    pr.set(id);
-  }
-
-  sim::Task link_io_loop(LinkId id, std::int32_t arg, Bytes out, Bytes* in,
-                         std::uint32_t n, int attempts,
-                         sim::Promise<Completion> pr) {
+  sim::Future<Completion> link_io(LinkId id, std::int32_t arg, Bytes out,
+                                  Bytes* in, std::uint32_t n, int attempts) {
+    co_await sim::ResumeVia(executor_for_current_context());
     for (int i = 0; i < attempts; ++i) {
       if (!valid(id) || links_[static_cast<std::size_t>(id)].dead) {
-        pr.set(Completion{CompletionStatus::kCrashed, 0, 0, 0});
-        co_return;
+        co_return Completion{CompletionStatus::kCrashed, 0, 0, 0};
       }
       LinkEntry& e = links_[static_cast<std::size_t>(id)];
       ServerSignature sig{e.peer_mid, e.peer_pattern};
@@ -334,107 +380,19 @@ class LinkClient : public SodalClient {
       if (c.status == CompletionStatus::kUnadvertised ||
           c.status == CompletionStatus::kCrashed) {
         links_[static_cast<std::size_t>(id)].dead = true;
-        pr.set(c);
-        co_return;
+        co_return c;
       }
-      if (!c.rejected()) {
-        pr.set(c);
-        co_return;
-      }
+      if (!c.rejected()) co_return c;
       // REJECTED: the far end is mid-move. Wait for a -2 notice (or just
       // a beat) and retry against the updated table entry.
       co_await delay(10 * sim::kMillisecond);
     }
-    pr.set(Completion{CompletionStatus::kCompleted, kRejectArg, 0, 0});
-  }
-
-  sim::Future<Completion> link_io(LinkId id, std::int32_t arg, Bytes out,
-                                  Bytes* in, std::uint32_t n, int attempts) {
-    sim::Promise<Completion> pr;
-    auto fut = pr.future();
-    fut.set_executor(executor_for_current_context());
-    link_io_loop(id, arg, std::move(out), in, n, attempts, pr).detach();
-    return fut;
-  }
-
-  sim::Task introduce_loop(LinkId a, LinkId b, sim::Promise<bool> pr) {
-    if (!valid(a) || !valid(b)) {
-      pr.set(false);
-      co_return;
-    }
-    const Mid target = links_[static_cast<std::size_t>(b)].peer_mid;
-    LinkEntry& ea = links_[static_cast<std::size_t>(a)];
-    Completion c = co_await b_put(
-        ServerSignature{ea.peer_mid, ea.peer_pattern}, kLinkIntroduce,
-        encode_u32(static_cast<std::uint32_t>(target)));
-    pr.set(c.ok());
+    co_return Completion{CompletionStatus::kCompleted, kRejectArg, 0, 0};
   }
 
   sim::Task introduce_to(Mid peer) {
     LinkId id = co_await connect_link(peer);
     if (id != kNoLink) on_link_established(id);
-  }
-
-  sim::Task move_loop(LinkId id, Mid new_host, sim::Promise<bool> pr) {
-    if (!valid(id) || links_[static_cast<std::size_t>(id)].dead) {
-      pr.set(false);
-      co_return;
-    }
-    LinkEntry& e = links_[static_cast<std::size_t>(id)];
-    e.moving = true;
-
-    // Become MASTER if we are the SLAVE end (§4.2.4 BecomeMaster).
-    while (e.state == EndState::kSlave) {
-      Bytes grant;
-      Completion c = co_await b_get(
-          ServerSignature{e.peer_mid, e.peer_pattern}, kLinkBecomeMaster,
-          &grant, 1);
-      if (c.ok() && !grant.empty() && grant[0] == std::byte{1}) {
-        e.state = EndState::kMaster;
-        break;
-      }
-      if (c.status != CompletionStatus::kCompleted) {
-        e.moving = false;
-        e.dead = true;
-        pr.set(false);
-        co_return;
-      }
-      co_await delay(10 * sim::kMillisecond);  // master end is moving; retry
-    }
-
-    // Install the new MASTER end at new_host (carrying the far end's
-    // signature), learn its pattern.
-    Bytes reply;
-    Completion c = co_await b_exchange(
-        ServerSignature{new_host, kLinkServicePattern}, 1,
-        encode_sig(e.peer_mid, e.peer_pattern), &reply, 12);
-    if (!c.ok() || reply.size() < 12) {
-      e.moving = false;
-      pr.set(false);
-      co_return;
-    }
-    const auto new_sig = decode_sig(reply);
-    const Mid nmid = new_sig.first;
-    const Pattern npat = new_sig.second;
-
-    // Tell the far end to retarget its table (-2), then tell the new end
-    // the move is complete (-3).
-    c = co_await b_put(ServerSignature{e.peer_mid, e.peer_pattern},
-                       kLinkMoved, encode_sig(nmid, npat));
-    const bool told_peer = c.ok();
-    c = co_await b_signal(ServerSignature{nmid, npat}, kLinkInstalled);
-
-    // Release our end.
-    if (e.want_to_move) {
-      // A delayed become-master request: grant FAILED so it retries
-      // against the new master.
-      Bytes denied(1, std::byte{0});
-      co_await accept_get(*e.want_to_move, 0, std::move(denied));
-      e.want_to_move.reset();
-    }
-    unadvertise(e.my_pattern);
-    e.used = false;
-    pr.set(told_peer && c.ok());
   }
 
   std::vector<LinkEntry> links_;

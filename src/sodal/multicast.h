@@ -26,52 +26,34 @@ struct MulticastResult {
   }
 };
 
-namespace detail {
-inline sim::Task multicast_member(SodalClient& c, ServerSignature member,
-                                  std::int32_t arg, Bytes data,
-                                  MulticastResult* result, std::size_t slot,
-                                  int* outstanding,
-                                  sim::Promise<MulticastResult> pr) {
-  Completion done = co_await c.b_put(member, arg, std::move(data));
-  result->completions[slot] = done;
-  if (done.ok()) {
-    ++result->delivered;
-  } else if (done.rejected()) {
-    ++result->rejected;
-  } else {
-    ++result->failed;
-  }
-  if (--*outstanding == 0) {
-    MulticastResult out = std::move(*result);
-    delete result;
-    delete outstanding;
-    pr.set(std::move(out));
-  }
-}
-}  // namespace detail
-
 /// Send `data` reliably to every member of the group; resolves when all
 /// transfers have completed or failed. Requests are issued concurrently
 /// (the SODAL layer postpones past MAXREQUESTS transparently).
 inline sim::Future<MulticastResult> multicast(
     SodalClient& c, const std::vector<ServerSignature>& group,
     std::int32_t arg, const Bytes& data) {
-  sim::Promise<MulticastResult> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  if (group.empty()) {
-    pr.set(MulticastResult{});
-    return fut;
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  // Every transfer is issued before the first suspension, the last use of
+  // the by-reference `group` and `data`.
+  std::vector<sim::Future<Completion>> puts;
+  puts.reserve(group.size());
+  for (const ServerSignature& member : group) {
+    puts.push_back(c.b_put(member, arg, data));
   }
-  auto* result = new MulticastResult;
-  result->completions.resize(group.size());
-  auto* outstanding = new int(static_cast<int>(group.size()));
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    detail::multicast_member(c, group[i], arg, data, result, i, outstanding,
-                             pr)
-        .detach();
+  MulticastResult result;
+  result.completions.reserve(puts.size());
+  for (auto& put : puts) {
+    Completion done = co_await put;
+    result.completions.push_back(done);
+    if (done.ok()) {
+      ++result.delivered;
+    } else if (done.rejected()) {
+      ++result.rejected;
+    } else {
+      ++result.failed;
+    }
   }
-  return fut;
+  co_return result;
 }
 
 // ------------------------------------------------------------------
@@ -118,10 +100,12 @@ class BiddingServer : public SodalClient {
   std::uint32_t load_ = 0;
 };
 
-namespace detail {
-inline sim::Task pick_least_loaded_loop(SodalClient& c, Pattern service,
-                                        Pattern bid_pattern,
-                                        sim::Promise<ServerSignature> pr) {
+/// Choose the least-loaded member of the community advertising `service`
+/// (mid == kBroadcastMid in the result means nobody answered).
+inline sim::Future<ServerSignature> pick_least_loaded(SodalClient& c,
+                                                      Pattern service,
+                                                      Pattern bid_pattern) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
   // 1. DISCOVER the community.
   Bytes mids;
   c.discover_request(service, &mids, 64);
@@ -142,20 +126,7 @@ inline sim::Task pick_least_loaded_loop(SodalClient& c, Pattern service,
       best = ServerSignature{m, service};
     }
   }
-  pr.set(best);
-}
-}  // namespace detail
-
-/// Choose the least-loaded member of the community advertising `service`
-/// (mid == kBroadcastMid in the result means nobody answered).
-inline sim::Future<ServerSignature> pick_least_loaded(SodalClient& c,
-                                                      Pattern service,
-                                                      Pattern bid_pattern) {
-  sim::Promise<ServerSignature> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::pick_least_loaded_loop(c, service, bid_pattern, pr).detach();
-  return fut;
+  co_return best;
 }
 
 }  // namespace soda::sodal

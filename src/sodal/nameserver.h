@@ -230,51 +230,48 @@ inline Bytes ns_bind_payload(const std::string& path, ServerSignature sig) {
   payload.insert(payload.end(), p.begin(), p.end());
   return payload;
 }
+}  // namespace detail
 
-inline sim::Task ns_status_loop(sim::Future<Completion> op,
-                                sim::Promise<Status> pr) {
-  pr.set(to_status(co_await op));
+/// Bind `path` to `sig` at the name server.
+inline sim::Future<Status> ns_bind(SodalClient& c, ServerSignature ns,
+                                   const std::string& path,
+                                   ServerSignature sig) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_return to_status(
+      co_await c.b_put(ns, 1, detail::ns_bind_payload(path, sig)));
 }
 
-inline sim::Task ns_resolve_loop(SodalClient& c, ServerSignature ns,
-                                 std::string path,
-                                 sim::Promise<StatusOr<ServerSignature>> pr) {
+/// Remove the binding for `path`, if any.
+inline sim::Future<Status> ns_unbind(SodalClient& c, ServerSignature ns,
+                                     const std::string& path) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_return to_status(co_await c.b_put(ns, 6, to_bytes(path)));
+}
+
+/// Resolve a path to a signature (kNotFound when unbound).
+inline sim::Future<StatusOr<ServerSignature>> ns_resolve(
+    SodalClient& c, ServerSignature ns, const std::string& path) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
   Completion done = co_await c.b_put(ns, 2, to_bytes(path));
-  if (!done.ok()) {
-    pr.set(StatusOr<ServerSignature>(to_status(done)));
-    co_return;
-  }
+  if (!done.ok()) co_return to_status(done);
   Bytes sig;
   done = co_await c.b_get(ns, 3, &sig, 12);
-  if (done.rejected()) {
-    // FETCH rejects exactly when the path is unbound (or unstaged).
-    pr.set(StatusOr<ServerSignature>(StatusCode::kNotFound));
-    co_return;
-  }
-  if (!done.ok() || sig.size() < 12) {
-    pr.set(StatusOr<ServerSignature>(to_status(done)));
-    co_return;
-  }
-  pr.set(StatusOr<ServerSignature>(
-      ServerSignature{static_cast<Mid>(decode_u32(sig, 0)),
-                      decode_u64(sig, 4) & kPatternMask}));
+  // FETCH rejects exactly when the path is unbound (or unstaged).
+  if (done.rejected()) co_return StatusCode::kNotFound;
+  if (!done.ok() || sig.size() < 12) co_return to_status(done);
+  co_return ServerSignature{static_cast<Mid>(decode_u32(sig, 0)),
+                            decode_u64(sig, 4) & kPatternMask};
 }
 
-inline sim::Task ns_list_loop(SodalClient& c, ServerSignature ns,
-                              std::string path,
-                              sim::Promise<StatusOr<std::vector<std::string>>>
-                                  pr) {
+/// List the immediate children of a directory path.
+inline sim::Future<StatusOr<std::vector<std::string>>> ns_list(
+    SodalClient& c, ServerSignature ns, const std::string& path) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
   Completion done = co_await c.b_put(ns, 4, to_bytes(path));
-  if (!done.ok()) {
-    pr.set(StatusOr<std::vector<std::string>>(to_status(done)));
-    co_return;
-  }
+  if (!done.ok()) co_return to_status(done);
   Bytes listing;
   done = co_await c.b_get(ns, 5, &listing, 2000);
-  if (!done.ok()) {
-    pr.set(StatusOr<std::vector<std::string>>(to_status(done)));
-    co_return;
-  }
+  if (!done.ok()) co_return to_status(done);
   std::vector<std::string> names;
   std::string cur;
   for (auto b : listing) {
@@ -286,54 +283,7 @@ inline sim::Task ns_list_loop(SodalClient& c, ServerSignature ns,
       cur += ch;
     }
   }
-  pr.set(StatusOr<std::vector<std::string>>(std::move(names)));
-}
-
-template <typename T>
-sim::Future<T> via_caller(SodalClient& c, sim::Promise<T>& pr) {
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  return fut;
-}
-}  // namespace detail
-
-/// Bind `path` to `sig` at the name server.
-inline sim::Future<Status> ns_bind(SodalClient& c, ServerSignature ns,
-                                   const std::string& path,
-                                   ServerSignature sig) {
-  sim::Promise<Status> pr;
-  auto fut = detail::via_caller(c, pr);
-  detail::ns_status_loop(c.b_put(ns, 1, detail::ns_bind_payload(path, sig)),
-                         pr)
-      .detach();
-  return fut;
-}
-
-/// Remove the binding for `path`, if any.
-inline sim::Future<Status> ns_unbind(SodalClient& c, ServerSignature ns,
-                                     const std::string& path) {
-  sim::Promise<Status> pr;
-  auto fut = detail::via_caller(c, pr);
-  detail::ns_status_loop(c.b_put(ns, 6, to_bytes(path)), pr).detach();
-  return fut;
-}
-
-/// Resolve a path to a signature (kNotFound when unbound).
-inline sim::Future<StatusOr<ServerSignature>> ns_resolve(
-    SodalClient& c, ServerSignature ns, const std::string& path) {
-  sim::Promise<StatusOr<ServerSignature>> pr;
-  auto fut = detail::via_caller(c, pr);
-  detail::ns_resolve_loop(c, ns, path, pr).detach();
-  return fut;
-}
-
-/// List the immediate children of a directory path.
-inline sim::Future<StatusOr<std::vector<std::string>>> ns_list(
-    SodalClient& c, ServerSignature ns, const std::string& path) {
-  sim::Promise<StatusOr<std::vector<std::string>>> pr;
-  auto fut = detail::via_caller(c, pr);
-  detail::ns_list_loop(c, ns, path, pr).detach();
-  return fut;
+  co_return names;
 }
 
 }  // namespace soda::sodal

@@ -94,24 +94,13 @@ class PortServer : public SodalClient {
   std::size_t delivered_ = 0;
 };
 
-namespace detail {
-inline sim::Task port_send_loop(sim::Future<Completion> op,
-                                sim::Promise<Status> pr) {
-  pr.set(to_status(co_await op));
-}
-}  // namespace detail
-
 /// Write one message into a port: B_PUT with the argument doubling as the
 /// priority (§4.2.1). Backpressure is invisible to the sender beyond the
 /// extra latency while the port's handler is CLOSEd.
 inline sim::Future<Status> port_send(SodalClient& c, ServerSignature port,
                                      std::int32_t priority, Bytes data) {
-  sim::Promise<Status> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::port_send_loop(c.b_put(port, priority, std::move(data)), pr)
-      .detach();
-  return fut;
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_return to_status(co_await c.b_put(port, priority, std::move(data)));
 }
 
 }  // namespace soda::sodal

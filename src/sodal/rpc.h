@@ -71,36 +71,20 @@ class RpcServer : public SodalClient {
 };
 
 namespace detail {
-inline sim::Task rpc_invoke_loop(SodalClient& c, ServerSignature proc,
-                                 Bytes in_params, std::uint32_t max_result,
-                                 sim::Promise<StatusOr<Bytes>> pr) {
+/// The call itself, shared by both rpc_invoke overloads. Its awaiter
+/// resumes through `exec`; an empty one resumes it inline.
+inline sim::Future<StatusOr<Bytes>> rpc_call(SodalClient& c,
+                                             ServerSignature proc,
+                                             Bytes in_params,
+                                             std::uint32_t max_result,
+                                             sim::ResumeExecutor exec) {
+  co_await sim::ResumeVia(std::move(exec));
   Status st = to_status(co_await c.b_put(proc, 0, std::move(in_params)));
-  if (!st.ok()) {
-    pr.set(StatusOr<Bytes>(st));
-    co_return;
-  }
+  if (!st.ok()) co_return st;
   Bytes out;
   st = to_status(co_await c.b_get(proc, 0, &out, max_result));
-  if (!st.ok()) {
-    pr.set(StatusOr<Bytes>(st));
-    co_return;
-  }
-  pr.set(StatusOr<Bytes>(std::move(out)));
-}
-
-inline sim::Task rpc_invoke_handle_loop(SodalClient& c, ServiceHandle proc,
-                                        Bytes in_params,
-                                        std::uint32_t max_result,
-                                        sim::Promise<StatusOr<Bytes>> pr) {
-  // Pin the pool to one member first: the PUT carries the arguments and
-  // the GET fetches the results, and RpcServer keys its session on the
-  // calling machine — both halves of the call must land on one server.
-  StatusOr<ServerSignature> target = co_await service_resolve(c, proc);
-  if (!target.ok()) {
-    pr.set(StatusOr<Bytes>(target.status()));
-    co_return;
-  }
-  co_await rpc_invoke_loop(c, *target, std::move(in_params), max_result, pr);
+  if (!st.ok()) co_return st;
+  co_return out;
 }
 }  // namespace detail
 
@@ -112,12 +96,8 @@ inline sim::Future<StatusOr<Bytes>> rpc_invoke(SodalClient& c,
                                                Bytes in_params,
                                                std::uint32_t max_result =
                                                    2000) {
-  sim::Promise<StatusOr<Bytes>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::rpc_invoke_loop(c, proc, std::move(in_params), max_result, pr)
-      .detach();
-  return fut;
+  return detail::rpc_call(c, proc, std::move(in_params), max_result,
+                          c.executor_for_current_context());
 }
 
 /// Pool-aware overload: call the procedure on whichever pool member the
@@ -128,13 +108,14 @@ inline sim::Future<StatusOr<Bytes>> rpc_invoke(SodalClient& c,
                                                Bytes in_params,
                                                std::uint32_t max_result =
                                                    2000) {
-  sim::Promise<StatusOr<Bytes>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::rpc_invoke_handle_loop(c, proc, std::move(in_params), max_result,
-                                 pr)
-      .detach();
-  return fut;
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  // Pin the pool to one member first: the PUT carries the arguments and
+  // the GET fetches the results, and RpcServer keys its session on the
+  // calling machine — both halves of the call must land on one server.
+  StatusOr<ServerSignature> target = co_await service_resolve(c, proc);
+  if (!target.ok()) co_return target.status();
+  co_return co_await detail::rpc_call(c, *target, std::move(in_params),
+                                      max_result, {});
 }
 
 }  // namespace soda::sodal

@@ -50,39 +50,23 @@ class ServiceHandle {
   ServerSignature sig_;
 };
 
-namespace detail {
-inline sim::Task service_resolve_loop(SodalClient& c, ServiceHandle h,
-                                      int max_attempts,
-                                      sim::Promise<StatusOr<ServerSignature>>
-                                          pr) {
-  if (!h.is_pool()) {
-    pr.set(StatusOr<ServerSignature>(h.signature()));
-    co_return;
-  }
-  // The kernel's pool directory is fed by DISCOVER replies; if nothing
-  // has been discovered yet, run a DISCOVER round and retry.
-  for (int i = 0; i < max_attempts; ++i) {
-    if (auto m = c.anycast_resolve(h.pattern())) {
-      pr.set(StatusOr<ServerSignature>(ServerSignature{*m, h.pattern()}));
-      co_return;
-    }
-    co_await c.discover(h.pattern());
-  }
-  pr.set(StatusOr<ServerSignature>(StatusCode::kUnavailable));
-}
-}  // namespace detail
-
 /// Pin a handle to one concrete server: a pass-through for a concrete
 /// handle; for a pool, the kernel's current least-shed member (seeding
 /// the pool with DISCOVER rounds when it is empty). Use when a multi-step
 /// exchange must stay on one server — e.g. an RPC's PUT/GET pair.
 inline sim::Future<StatusOr<ServerSignature>> service_resolve(
     SodalClient& c, ServiceHandle h, int max_attempts = 4) {
-  sim::Promise<StatusOr<ServerSignature>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::service_resolve_loop(c, h, max_attempts, pr).detach();
-  return fut;
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  if (!h.is_pool()) co_return h.signature();
+  // The kernel's pool directory is fed by DISCOVER replies; if nothing
+  // has been discovered yet, run a DISCOVER round and retry.
+  for (int i = 0; i < max_attempts; ++i) {
+    if (auto m = c.anycast_resolve(h.pattern())) {
+      co_return ServerSignature{*m, h.pattern()};
+    }
+    co_await c.discover(h.pattern());
+  }
+  co_return StatusCode::kUnavailable;
 }
 
 }  // namespace soda::sodal

@@ -76,16 +76,29 @@ class Switchboard : public SodalClient {
   std::map<Mid, std::string> pending_lookup_;
 };
 
-namespace detail {
-inline sim::Task sb_register_loop(sim::Future<Completion> op,
-                                  sim::Promise<Status> pr) {
-  pr.set(to_status(co_await op));
+/// Register `sig` under `name` with the switchboard at `sb`. A signature
+/// whose mid is kAnycastMid registers a whole anycast pool
+/// (sodal/service.h): lookups then return the pool handle.
+inline sim::Future<Status> sb_register(SodalClient& c, ServerSignature sb,
+                                       const std::string& name,
+                                       ServerSignature sig) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
+  Bytes payload = to_bytes(name);
+  Bytes s = encode_u32(static_cast<std::uint32_t>(sig.mid));
+  Bytes p = encode_u64(sig.pattern);
+  payload.insert(payload.end(), s.begin(), s.end());
+  payload.insert(payload.end(), p.begin(), p.end());
+  co_return to_status(co_await c.b_put(sb, 1, std::move(payload)));
 }
 
-inline sim::Task sb_lookup_loop(SodalClient& c, ServerSignature sb,
-                                std::string name,
-                                sim::Promise<StatusOr<ServerSignature>> pr,
-                                int max_attempts) {
+/// Look up `name`, retrying while it is unregistered. Typed failures:
+/// kTimedOut when every attempt found the name unregistered, kCrashed /
+/// kUnadvertised / kUnavailable when reaching the switchboard itself
+/// failed on the last probe.
+inline sim::Future<StatusOr<ServerSignature>> sb_lookup(
+    SodalClient& c, ServerSignature sb, std::string name,
+    int max_attempts = 40) {
+  co_await sim::ResumeVia(c.executor_for_current_context());
   Status last = Status::error(StatusCode::kTimedOut);
   for (int i = 0; i < max_attempts; ++i) {
     Completion done = co_await c.b_put(sb, 2, to_bytes(name));
@@ -93,10 +106,8 @@ inline sim::Task sb_lookup_loop(SodalClient& c, ServerSignature sb,
       Bytes sig;
       done = co_await c.b_get(sb, 3, &sig, 12);
       if (done.ok() && sig.size() >= 12) {
-        pr.set(StatusOr<ServerSignature>(ServerSignature{
-            static_cast<Mid>(decode_u32(sig, 0)),
-            decode_u64(sig, 4) & kPatternMask}));
-        co_return;
+        co_return ServerSignature{static_cast<Mid>(decode_u32(sig, 0)),
+                                  decode_u64(sig, 4) & kPatternMask};
       }
     }
     // A REJECT just means "not registered yet" — keep polling. Transport
@@ -105,40 +116,7 @@ inline sim::Task sb_lookup_loop(SodalClient& c, ServerSignature sb,
     if (!done.ok() && !done.rejected()) last = to_status(done);
     co_await c.delay(25 * sim::kMillisecond);
   }
-  pr.set(StatusOr<ServerSignature>(last));  // gave up
-}
-}  // namespace detail
-
-/// Register `sig` under `name` with the switchboard at `sb`. A signature
-/// whose mid is kAnycastMid registers a whole anycast pool
-/// (sodal/service.h): lookups then return the pool handle.
-inline sim::Future<Status> sb_register(SodalClient& c, ServerSignature sb,
-                                       const std::string& name,
-                                       ServerSignature sig) {
-  Bytes payload = to_bytes(name);
-  Bytes s = encode_u32(static_cast<std::uint32_t>(sig.mid));
-  Bytes p = encode_u64(sig.pattern);
-  payload.insert(payload.end(), s.begin(), s.end());
-  payload.insert(payload.end(), p.begin(), p.end());
-  sim::Promise<Status> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::sb_register_loop(c.b_put(sb, 1, std::move(payload)), pr).detach();
-  return fut;
-}
-
-/// Look up `name`, retrying while it is unregistered. Typed failures:
-/// kTimedOut when every attempt found the name unregistered, kCrashed /
-/// kUnadvertised / kUnavailable when reaching the switchboard itself
-/// failed on the last probe.
-inline sim::Future<StatusOr<ServerSignature>> sb_lookup(
-    SodalClient& c, ServerSignature sb, const std::string& name,
-    int max_attempts = 40) {
-  sim::Promise<StatusOr<ServerSignature>> pr;
-  auto fut = pr.future();
-  fut.set_executor(c.executor_for_current_context());
-  detail::sb_lookup_loop(c, sb, name, pr, max_attempts).detach();
-  return fut;
+  co_return last;  // gave up
 }
 
 }  // namespace soda::sodal

@@ -217,6 +217,35 @@ TEST(ChaosScenarioLibrary, InEnvelopeSkewDoesNotWarn) {
       << r.warnings.front();
 }
 
+// One rule for the simulated run and the fleet: node >= 0 skews that MID,
+// node -1 skews every station on `segment`, and segment -1 every station.
+TEST(ChaosScenario, NodeConfigAppliesTimerSkewsBySegment) {
+  const sim::Duration base = TimingModel::fast().retransmit_interval;
+  auto rto = [](const Scenario& s, int mid) {
+    return node_config(s, mid).timing.retransmit_interval;
+  };
+
+  Scenario two;
+  two.nodes = 4;
+  two.segments = 2;
+  two.fast_timing().skew_segment(/*segment=*/1, 2.0).skew_timers(0, 3.0);
+  EXPECT_EQ(rto(two, 0), 3 * base);  // segment 0, named directly
+  EXPECT_EQ(rto(two, 1), 2 * base);  // segment 1
+  EXPECT_EQ(rto(two, 2), base);      // segment 0
+  EXPECT_EQ(rto(two, 3), 2 * base);  // segment 1
+
+  // On one bus every station is on segment 0: a skew of segment 1 covers
+  // nobody, and segment -1 covers everybody.
+  Scenario one;
+  one.nodes = 3;
+  one.fast_timing().skew_segment(/*segment=*/1, 2.0);
+  for (int mid = 0; mid < one.nodes; ++mid) EXPECT_EQ(rto(one, mid), base);
+  one.skew_timers(/*node=*/-1, 2.0);
+  for (int mid = 0; mid < one.nodes; ++mid) {
+    EXPECT_EQ(rto(one, mid), 2 * base);
+  }
+}
+
 TEST(ChaosScenario, JsonlRoundTripsEveryBuiltin) {
   for (const auto& name : builtin_scenario_names()) {
     auto s = builtin_scenario(name);

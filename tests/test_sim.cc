@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -396,6 +398,78 @@ TEST(Coro, DetachedTaskSelfDestroys) {
   }
   p.set(11);  // must not crash; coroutine resumes and frees itself
   EXPECT_EQ(got, 11);
+}
+
+Future<int> immediate(int v) { co_return v; }
+
+Future<int> plus_one(Future<int> in) { co_return (co_await in) + 1; }
+
+Future<int> plus_one_via(Future<int> in, ResumeExecutor exec) {
+  co_await ResumeVia(std::move(exec));
+  co_return (co_await in) + 1;
+}
+
+TEST(Coro, FutureCoroutineReturningBeforeSuspendingIsReady) {
+  EXPECT_TRUE(immediate(4).ready());
+  int got = 0;
+  Task t = waits_on(immediate(4), &got);
+  EXPECT_TRUE(t.done());  // the caller never suspended
+  EXPECT_EQ(got, 4);
+}
+
+TEST(Coro, ResumeViaRoutesTheCallersOneResumption) {
+  Promise<int> p;
+  std::vector<std::coroutine_handle<>> resumes;
+  int got = 0;
+  Task t = waits_on(plus_one_via(p.future(),
+                                 [&](std::coroutine_handle<> h) {
+                                   resumes.push_back(h);
+                                 }),
+                    &got);
+  EXPECT_TRUE(resumes.empty());
+  p.set(1);
+  ASSERT_EQ(resumes.size(), 1u);
+  EXPECT_EQ(got, 0);  // deferred to the executor
+  resumes.front().resume();
+  EXPECT_EQ(got, 2);
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(resumes.size(), 1u);
+}
+
+TEST(Coro, FutureCoroutineWithoutResumeViaResumesCallerInline) {
+  Promise<int> p;
+  int got = 0;
+  Task t = waits_on(plus_one(p.future()), &got);
+  EXPECT_FALSE(t.done());
+  p.set(1);
+  EXPECT_EQ(got, 2);
+  EXPECT_TRUE(t.done());
+}
+
+Future<int> holds(std::shared_ptr<int> /*token*/, Future<int> in) {
+  co_return co_await in;
+}
+
+Future<int> throws_after(Future<int> in) {
+  co_await in;
+  throw std::runtime_error("boom");
+}
+
+TEST(Coro, FutureCoroutineFreesItsFrameAtTheEnd) {
+  auto token = std::make_shared<int>(0);
+  Promise<int> p;
+  Future<int> f = holds(token, p.future());
+  EXPECT_EQ(token.use_count(), 2);  // the suspended frame's copy
+  p.set(7);
+  EXPECT_EQ(token.use_count(), 1);
+  ASSERT_TRUE(f.ready());
+  EXPECT_EQ(f.peek(), 7);
+
+  // An escaping exception is dropped: the future stays unfulfilled.
+  Promise<int> q;
+  Future<int> g = throws_after(q.future());
+  q.set(1);
+  EXPECT_FALSE(g.ready());
 }
 
 TEST(Coro, CondVarReleasesAllWaiters) {

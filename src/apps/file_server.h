@@ -167,7 +167,7 @@ struct FileHandle {
 
 inline sim::Future<FileHandle> fs_open(sodal::SodalClient& c, Mid fs,
                                        const std::string& name) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   Bytes fd_b;
   auto done = co_await c.b_exchange(ServerSignature{fs, kFileOpenPattern}, 0,
                                     sodal::to_bytes(name), &fd_b, 8);

@@ -101,7 +101,7 @@ struct StoreWriteResult {
 inline sim::Future<StoreWriteResult> store_set(
     sodal::SodalClient& c, const std::vector<ServerSignature>& group,
     const std::string& key, Bytes value) {
-  co_await sim::ResumeVia(c.task_gated_executor());
+  co_await c.resume_task_gated();
   Bytes kv = sodal::to_bytes(key);
   kv.push_back(std::byte{0});
   kv.insert(kv.end(), value.begin(), value.end());
@@ -116,7 +116,7 @@ inline sim::Future<StoreWriteResult> store_set(
 inline sim::Future<std::optional<Bytes>> store_get(
     sodal::SodalClient& c, std::vector<ServerSignature> group,
     std::string key) {
-  co_await sim::ResumeVia(c.task_gated_executor());
+  co_await c.resume_task_gated();
   // Try replicas in order until one answers; a crashed or key-less
   // replica fails the two-stage read and we move on.
   for (const auto& replica : group) {
@@ -133,7 +133,7 @@ inline sim::Future<std::optional<Bytes>> store_get(
 /// DISCOVER the replica group.
 inline sim::Future<std::vector<ServerSignature>> store_find_replicas(
     sodal::SodalClient& c) {
-  co_await sim::ResumeVia(c.task_gated_executor());
+  co_await c.resume_task_gated();
   Bytes mids;
   c.discover_request(kStoreReplica, &mids, 64);
   co_await c.delay(c.k().config().timing.discover_window +

@@ -1,6 +1,7 @@
 #include "chaos/scenario.h"
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "stats/json.h"
@@ -748,6 +749,23 @@ std::vector<std::string> builtin_scenario_names() {
           "inet_smoke",
           "inet_partition",  "gateway_flap",
           "inet_asymmetric", "inet_skew"};
+}
+
+std::optional<Scenario> load_scenario(const std::string& name_or_path,
+                                      std::string* error) {
+  if (auto s = builtin_scenario(name_or_path)) return s;
+  std::ifstream in(name_or_path);
+  if (!in) {
+    if (error) *error = "no builtin or file named '" + name_or_path + "'";
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto s = scenario_from_jsonl(text.str());
+  if (!s && error) {
+    *error = "malformed scenario file '" + name_or_path + "'";
+  }
+  return s;
 }
 
 }  // namespace soda::chaos

@@ -166,4 +166,11 @@ std::optional<Scenario> scenario_from_jsonl(std::string_view text);
 std::optional<Scenario> builtin_scenario(std::string_view name);
 std::vector<std::string> builtin_scenario_names();
 
+/// The scenario a tool's argument names: the builtin of that name first,
+/// else the JSONL file at that path. On failure returns nullopt and, when
+/// `error` is set, says why (no such builtin or file, or malformed file);
+/// each tool prints it after its own prefix.
+std::optional<Scenario> load_scenario(const std::string& name_or_path,
+                                      std::string* error);
+
 }  // namespace soda::chaos

@@ -35,14 +35,10 @@ class EchoServer final : public sodal::SodalClient {
     Bytes in;
     co_await accept_current_exchange(a.arg, &in, a.put_size,
                                      Bytes(a.get_size));
-    ++served_;
   }
-
-  std::uint64_t served() const { return served_; }
 
  private:
   sim::Duration accept_delay_;
-  std::uint64_t served_ = 0;
 };
 
 class LoadClient final : public sodal::SodalClient {
@@ -70,14 +66,12 @@ class LoadClient final : public sodal::SodalClient {
       const ServerSignature target{anycast_ ? kAnycastMid : pick_server(),
                                    kEchoPattern};
       // Every third op, float an extra non-blocking PUT so several
-      // requests are in flight at once (completion lands in on_completion).
+      // requests are in flight at once (its completion lands in the handler).
       if (++op % 3 == 0) {
         (void)put(target, op, Bytes(payload_));
       }
       Bytes in;
-      auto c = co_await b_exchange(target, op, Bytes(payload_), &in,
-                                   payload_);
-      note(c.status);
+      (void)co_await b_exchange(target, op, Bytes(payload_), &in, payload_);
       const auto jitter = static_cast<sim::Duration>(
           sim().rng().next_below(static_cast<std::uint64_t>(interval_) / 2 +
                                  1));
@@ -86,15 +80,6 @@ class LoadClient final : public sodal::SodalClient {
     co_await park_forever();
   }
 
-  sim::Task on_completion(HandlerArgs a) override {
-    note(a.status);
-    co_return;
-  }
-
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t crashed() const { return crashed_; }
-  std::uint64_t timedout() const { return timedout_; }
-
  private:
   Mid pick_server() {
     if (servers_ <= 1) return 0;
@@ -102,24 +87,11 @@ class LoadClient final : public sodal::SodalClient {
         sim().rng().next_below(static_cast<std::uint64_t>(servers_)));
   }
 
-  void note(CompletionStatus s) {
-    if (s == CompletionStatus::kCompleted) {
-      ++completed_;
-    } else if (s == CompletionStatus::kCrashed) {
-      ++crashed_;
-    } else if (s == CompletionStatus::kTimedOut) {
-      ++timedout_;  // retry budget exhausted: degraded, not dead
-    }
-  }
-
   int servers_;
   bool anycast_;
   sim::Time stop_at_;
   sim::Duration interval_;
   std::uint32_t payload_;
-  std::uint64_t completed_ = 0;
-  std::uint64_t crashed_ = 0;
-  std::uint64_t timedout_ = 0;
 };
 
 /// The client a node boots (and re-boots after a crash fault): an echo

@@ -181,6 +181,28 @@ class Client {
   /// by continuations that end_handler_early() demotes to task status.
   sim::ResumeExecutor task_gated_executor();
 
+  /// `co_await c.resume_in_context()` (or `c.resume_task_gated()`) in a
+  /// Future-returning SODAL helper sets the executor its awaiting caller
+  /// resumes through, like `co_await sim::ResumeVia(exec)`, but builds the
+  /// executor inside await_suspend, so the helper's frame keeps only a
+  /// pointer and a flag, not two std::functions. It never suspends.
+  struct ResumeIn {
+    Client* client;
+    bool task_gated;
+
+    bool await_ready() const noexcept { return false; }
+    template <typename P>
+    bool await_suspend(std::coroutine_handle<P> h) {
+      h.promise().resume_via(task_gated
+                                 ? client->task_gated_executor()
+                                 : client->executor_for_current_context());
+      return false;  // continue at once
+    }
+    void await_resume() const noexcept {}
+  };
+  ResumeIn resume_in_context() { return {this, false}; }
+  ResumeIn resume_task_gated() { return {this, true}; }
+
   /// The SODAL saved-PC trick (§4.1.1): a blocking REQUEST issued from
   /// inside the handler must END the handler so the completion interrupt
   /// can be fielded — "there is no way to receive a request completion

@@ -88,7 +88,23 @@ bool write_fully(int fd, std::string_view data, int timeout_ms) {
 // ----------------------------------------------------------------- lines
 
 void LineBuffer::feed(const char* data, std::size_t n) {
+  buf_.erase(0, head_);
+  scan_ -= head_;
+  head_ = 0;
   buf_.append(data, n);
+}
+
+bool LineBuffer::fill_from(int fd) {
+  char chunk[65536];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      feed(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
 }
 
 std::optional<std::string> LineBuffer::next_line() {
@@ -97,9 +113,8 @@ std::optional<std::string> LineBuffer::next_line() {
     scan_ = buf_.size();
     return std::nullopt;
   }
-  std::string line = buf_.substr(0, nl);
-  buf_.erase(0, nl + 1);
-  scan_ = 0;
+  std::string line = buf_.substr(head_, nl - head_);
+  head_ = scan_ = nl + 1;
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return line;
 }

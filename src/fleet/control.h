@@ -46,16 +46,24 @@ bool write_fully(int fd, std::string_view data, int timeout_ms);
 
 // ----------------------------------------------------------------- lines
 
-/// Accumulates stream bytes and yields complete '\n'-terminated lines.
+/// Accumulates stream bytes and yields complete '\n'-terminated lines
+/// (a trailing '\r' is stripped). Draining is linear in the bytes held:
+/// next_line() advances an offset, and the consumed prefix is dropped once
+/// per feed, not once per line.
 class LineBuffer {
  public:
   void feed(const char* data, std::size_t n);
+  /// Read a nonblocking stream `fd` until it would block, retrying EINTR.
+  /// Returns false on EOF or a hard error (the stream is finished; lines
+  /// already buffered can still be drained).
+  bool fill_from(int fd);
   /// Next complete line (without the newline), or nullopt.
   std::optional<std::string> next_line();
 
  private:
   std::string buf_;
-  std::size_t scan_ = 0;
+  std::size_t head_ = 0;  // start of the first unconsumed line
+  std::size_t scan_ = 0;  // bytes before this hold no '\n' past head_
 };
 
 // -------------------------------------------------------------- messages

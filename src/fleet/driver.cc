@@ -17,6 +17,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,7 +159,7 @@ struct Proc {
 
 struct Action {
   enum Kind { kKill, kRespawn, kStop, kCont } kind;
-  std::int64_t wall_us;
+  sim::Time at;  // on the shared timeline
   int mid;
   int epoch;  // kRespawn: epoch of the new incarnation
 };
@@ -315,14 +316,6 @@ FleetResult run_fleet(const FleetOptions& o) {
       break;  // EAGAIN (stopped worker) or dead peer: retry next tick
     }
   };
-  constexpr sim::Duration kSlice = 1 * sim::kMillisecond;
-  auto advance_driver = [&](sim::Time target) {
-    while (dsim.now() < target) {
-      dsim.run_until(std::min(dsim.now() + kSlice, target));
-      if (dbus.pump() > 0) dsim.run_until(dsim.now());
-    }
-    dbus.pump();
-  };
   auto reap = [&] {
     int st;
     pid_t pid;
@@ -347,15 +340,9 @@ FleetResult run_fleet(const FleetOptions& o) {
     blob += start_line(offset, speedup, 1 + epoch * kTidStride, o.drop);
     return blob;
   };
-  std::chrono::steady_clock::time_point t0;  // set at START
-  auto wall_us = [&] {
-    return std::chrono::duration_cast<std::chrono::microseconds>(now_wall() -
-                                                                 t0)
-        .count();
-  };
-  auto sim_est = [&] {
-    return static_cast<sim::Time>(static_cast<double>(wall_us()) * speedup);
-  };
+  // The shared timeline's clock, anchored at START: the driver's node
+  // advances through it, and its target() estimates every worker's clock.
+  std::optional<posix::RealtimeRunner> clock;
 
   // --- the one control-message dispatch ---------------------------------
   // HELLO identifies an incarnation. In the join phase that is all it
@@ -385,7 +372,7 @@ FleetResult run_fleet(const FleetOptions& o) {
             other->outq += pl;
           }
         }
-        c.outq += config_blob(c.mid, c.epoch, sim_est());
+        c.outq += config_blob(c.mid, c.epoch, clock->target());
         if (c.epoch > 0) {
           ++r.reboots;
           boot.enqueue(static_cast<net::Mid>(c.mid));
@@ -411,22 +398,12 @@ FleetResult run_fleet(const FleetOptions& o) {
   };
   // Read everything `c` has sent and handle each complete line. EOF or a
   // hard read error closes the connection.
-  char buf[65536];
   auto pump = [&](Conn& c, Phase phase) {
     if (c.fd < 0) return;
-    for (;;) {
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.lines.feed(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
-        c.eof = true;
-        ::close(c.fd);
-        c.fd = -1;
-      }
-      break;
+    if (!c.lines.fill_from(c.fd)) {
+      c.eof = true;
+      ::close(c.fd);
+      c.fd = -1;
     }
     while (auto line = c.lines.next_line()) {
       if (auto msg = parse_message(*line)) handle(c, *msg, phase);
@@ -467,41 +444,34 @@ FleetResult run_fleet(const FleetOptions& o) {
       flush_conn(*cp);
     }
   }
-  t0 = now_wall();
+  clock.emplace(dsim, dbus, speedup);
   r.ran = true;
 
-  // --- fault schedule -> wall-clock actions ----------------------------
+  // --- fault schedule -> process actions on the shared timeline ---------
   std::vector<Action> actions;
   {
     std::map<int, int> kill_count;
     for (const auto& f : s.faults) {
       if (f.kind == chaos::FaultKind::kCrash && f.node >= 0 &&
           f.node < s.nodes) {
-        const auto at_us =
-            static_cast<std::int64_t>(static_cast<double>(f.at) / speedup);
-        actions.push_back({Action::kKill, at_us, f.node, 0});
+        actions.push_back({Action::kKill, f.at, f.node, 0});
         if (f.reboot_after > 0) {
           const int epoch = ++kill_count[f.node];
-          const auto re_us = static_cast<std::int64_t>(
-              static_cast<double>(f.at + f.reboot_after) / speedup);
-          actions.push_back({Action::kRespawn, re_us, f.node, epoch});
+          actions.push_back(
+              {Action::kRespawn, f.at + f.reboot_after, f.node, epoch});
           procs[static_cast<std::size_t>(f.node)].respawn_pending = true;
         }
       } else if (f.kind == chaos::FaultKind::kDelay && f.node >= 0 &&
                  f.node < s.nodes) {
         // A paused process delays everything it would have sent — the
         // closest real-process analog of a link-delay window.
-        const auto at_us =
-            static_cast<std::int64_t>(static_cast<double>(f.at) / speedup);
-        const auto until_us = static_cast<std::int64_t>(
-            static_cast<double>(s.window_end(f)) / speedup);
-        actions.push_back({Action::kStop, at_us, f.node, 0});
-        actions.push_back({Action::kCont, until_us, f.node, 0});
+        actions.push_back({Action::kStop, f.at, f.node, 0});
+        actions.push_back({Action::kCont, s.window_end(f), f.node, 0});
       }
     }
     std::sort(actions.begin(), actions.end(),
               [](const Action& a, const Action& b) {
-                return a.wall_us < b.wall_us;
+                return a.at < b.at;
               });
   }
   std::size_t next_action = 0;
@@ -519,15 +489,16 @@ FleetResult run_fleet(const FleetOptions& o) {
 
   // --- main loop --------------------------------------------------------
   const sim::Time end = s.end_time();
-  const auto deadline_us = static_cast<std::int64_t>(
-      static_cast<double>(end) / speedup * o.wall_factor + 5'000'000.0);
+  // Wall budget end/speedup * wall_factor + 5 s, on the shared timeline.
+  const auto deadline = static_cast<sim::Time>(
+      static_cast<double>(end) * o.wall_factor + 5'000'000.0 * speedup);
   for (;;) {
-    const auto wall = wall_us();
-    if (wall > deadline_us) break;
+    const sim::Time now = clock->target();
+    if (now > deadline) break;
 
     // Fire due chaos actions.
     while (next_action < actions.size() &&
-           actions[next_action].wall_us <= wall) {
+           actions[next_action].at <= now) {
       const Action& a = actions[next_action++];
       Proc& p = procs[static_cast<std::size_t>(a.mid)];
       switch (a.kind) {
@@ -536,7 +507,7 @@ FleetResult run_fleet(const FleetOptions& o) {
             ::kill(p.pid, SIGKILL);
             if (p.conn) {
               p.conn->killed = true;
-              p.conn->kill_est = sim_est();
+              p.conn->kill_est = clock->target();
             }
             if (o.verbose) {
               std::fprintf(stderr, "fleet: SIGKILL n%d (pid %d)\n", a.mid,
@@ -599,13 +570,13 @@ FleetResult run_fleet(const FleetOptions& o) {
         // A death we did not schedule: count it, and record the death so
         // the merged invariants stay honest about the lost incarnation.
         ++r.unexpected_exits;
-        c.kill_est = sim_est();
+        c.kill_est = clock->target();
         synthesize_death(c);
       }
     }
 
     reap();
-    advance_driver(sim_est());
+    clock->advance_to(clock->target());
     for (auto& cp : conns) flush_conn(*cp);
 
     // Done?

@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -77,14 +76,10 @@ int run_worker(const WorkerOptions& opts) {
     }
     pollfd p{fd, POLLIN, 0};
     if (::poll(&p, 1, 100) <= 0) continue;
-    char buf[65536];
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN &&
-                   errno != EWOULDBLOCK)) {
+    if (!lines.fill_from(fd)) {
       ::close(fd);
       return 4;  // driver vanished during configuration
     }
-    if (n > 0) lines.feed(buf, static_cast<std::size_t>(n));
     while (auto line = lines.next_line()) {
       if (auto msg = parse_message(*line)) handle(*msg);
       if (start) break;
@@ -124,17 +119,16 @@ int run_worker(const WorkerOptions& opts) {
     outbuf += '\n';
   });
 
-  bus.set_drop_probability(start->drop);
-  // Receive-side loss windows and partitions, matched exactly as the
+  // One loss filter: the uniform --drop draw first, then the scenario's
+  // receive-side loss windows and partitions, matched exactly as the
   // simulated bus matches them (chaos/windows.h). Crash and delay faults
   // are the driver's job (real signals); corruption and duplication are
   // not modeled on the real medium (doc/FLEET.md).
-  if (chaos::LossWindows loss(*scenario, /*segment=*/0); !loss.empty()) {
-    bus.set_recv_filter([loss = std::move(loss), &opts,
-                         &sim](const net::Frame& fr) {
-      return loss.drops(sim, fr.src, static_cast<net::Mid>(opts.mid));
-    });
-  }
+  bus.set_loss_filter([drop = start->drop,
+                       loss = chaos::LossWindows(*scenario, /*segment=*/0),
+                       &sim](const net::Frame& fr, net::Mid dst) {
+    return sim.rng().chance(drop) || loss.drops(sim, fr.src, dst);
+  });
 
   UniqueIdSource uids;
   Node node(sim, bus, static_cast<net::Mid>(opts.mid), config, uids);
@@ -155,46 +149,23 @@ int run_worker(const WorkerOptions& opts) {
   const double speedup = start->speedup > 0 ? start->speedup : 10.0;
   const sim::Time end = scenario->end_time();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto wall_budget_us = static_cast<std::int64_t>(
+  const auto wall_budget = std::chrono::microseconds(static_cast<std::int64_t>(
       static_cast<double>(end - start->sim_offset) / speedup * 1.5 +
-      10'000'000.0);
-  constexpr sim::Duration kSlice = 1 * sim::kMillisecond;
+      10'000'000.0));
+  posix::RealtimeRunner clock(sim, bus, speedup);
   bool finished = false;
   bool driver_gone = false;
-  char buf[65536];
-  while (!finished && !driver_gone) {
-    const auto wall_elapsed =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (wall_elapsed > wall_budget_us) break;  // wedged: report finished=0
-    const auto sim_target =
-        start->sim_offset +
-        static_cast<sim::Time>(static_cast<double>(wall_elapsed) * speedup);
-    while (sim.now() < sim_target) {
-      sim.run_until(std::min(sim.now() + kSlice, sim_target));
-      if (bus.pump() > 0) sim.run_until(sim.now());
-      if (sim.now() >= end) break;
+  while (!driver_gone) {
+    if (std::chrono::steady_clock::now() - t0 > wall_budget) {
+      break;  // wedged: report finished=0
     }
-    bus.pump();
+    clock.advance_to(std::min(clock.target(), end));
     if (sim.now() >= end) {
       finished = true;
       break;
     }
     // Drain driver commands (peer updates after reboots).
-    for (;;) {
-      const ssize_t n = ::read(fd, buf, sizeof(buf));
-      if (n == 0) {
-        driver_gone = true;
-        break;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK) driver_gone = true;
-        break;
-      }
-      lines.feed(buf, static_cast<std::size_t>(n));
-    }
+    if (!lines.fill_from(fd)) driver_gone = true;
     while (auto line = lines.next_line()) {
       if (auto msg = parse_message(*line)) handle(*msg);
     }
@@ -220,7 +191,7 @@ int run_worker(const WorkerOptions& opts) {
   WorkerStats st;
   st.datagrams_out = bus.datagrams_out();
   st.datagrams_in = bus.datagrams_in();
-  st.dropped = bus.dropped();
+  st.dropped = bus.frames_lost();
   st.send_drops = bus.send_drops();
   st.decode_failures = bus.decode_failures();
   st.duplicates_suppressed =

@@ -307,6 +307,23 @@ class Bus {
     return it == stations_.end() ? nullptr : it->second.metrics;
   }
 
+  /// The one loss decision, for this bus and for media that carry frames
+  /// elsewhere: the loss filter when installed, else the loss_probability
+  /// draw. A lost (frame, receiver) delivery is traced and counted here.
+  bool lose(const Frame& frame, Mid mid) {
+    const bool dropped = loss_filter_
+                             ? loss_filter_(frame, mid)
+                             : sim_.rng().chance(config_.loss_probability);
+    if (dropped) {
+      sim_.trace().record(
+          sim_.now(), sim::TraceCategory::kPacketDropped, mid,
+          stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
+      frames_lost_.fetch_add(1, std::memory_order_relaxed);
+      if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
+    }
+    return dropped;
+  }
+
  private:
   struct Station {
     FrameRefSink sink;
@@ -363,17 +380,7 @@ class Bus {
   /// shaping, duplication, duplicate lag. A lost delivery is traced and
   /// counted here and yields nullopt.
   std::optional<Faults> draw_faults(const Frame& frame, Mid mid) {
-    const bool dropped = loss_filter_
-                             ? loss_filter_(frame, mid)
-                             : sim_.rng().chance(config_.loss_probability);
-    if (dropped) {
-      sim_.trace().record(
-          sim_.now(), sim::TraceCategory::kPacketDropped, mid,
-          stamp(trace_payload(frame).with_status(sim::TraceStatus::kLost)));
-      frames_lost_.fetch_add(1, std::memory_order_relaxed);
-      if (auto* m = metrics_for(mid)) m->add(stats::Counter::kFramesDropped);
-      return std::nullopt;
-    }
+    if (lose(frame, mid)) return std::nullopt;
     Faults fx;
     fx.damaged = corrupt_filter_
                      ? corrupt_filter_(frame, mid)

@@ -134,11 +134,6 @@ int UdpBus::pump() {
         break;  // EWOULDBLOCK or error: done with this socket
       }
       ++datagrams_in_;
-      if (drop_probability_ > 0.0 &&
-          simulator().rng().chance(drop_probability_)) {
-        ++dropped_;
-        continue;
-      }
       auto frame = net::decode_frame(buf, static_cast<std::size_t>(n));
       if (!frame) {
         ++decode_failures_;  // the "CRC discard" path
@@ -148,10 +143,7 @@ int UdpBus::pump() {
       // datagrams were fanned out one per station already, so each is
       // consumed by exactly the socket it landed on).
       if (frame->dst != mid && frame->dst != net::kBroadcastMid) continue;
-      if (recv_filter_ && recv_filter_(*frame)) {
-        ++dropped_;  // scenario-scheduled loss window
-        continue;
-      }
+      if (lose(*frame, mid)) continue;  // injected loss, traced + counted
       simulator().trace().record(simulator().now(),
                                  sim::TraceCategory::kPacketReceived, mid,
                                  net::trace_payload(*frame));
@@ -162,32 +154,34 @@ int UdpBus::pump() {
   return delivered;
 }
 
+sim::Time RealtimeRunner::target() const {
+  const auto wall_elapsed = std::chrono::duration_cast<
+      std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                 wall_anchor_);
+  return sim_anchor_ +
+         static_cast<sim::Time>(static_cast<double>(wall_elapsed.count()) *
+                                speedup_);
+}
+
+void RealtimeRunner::advance_to(sim::Time target) {
+  constexpr sim::Duration kSlice = 1 * sim::kMillisecond;
+  while (sim_.now() < target) {
+    sim_.run_until(std::min(sim_.now() + kSlice, target));
+    if (bus_.pump() > 0) sim_.run_until(sim_.now());
+  }
+  bus_.pump();
+}
+
 bool RealtimeRunner::run_until(std::function<bool()> until,
                                std::chrono::milliseconds wall_budget) {
-  // Advance the simulated clock toward the scaled wall clock in small
-  // slices, pumping the sockets between slices: a datagram must be able
-  // to land within ~a simulated millisecond of its arrival or kernel
-  // retransmission timers fire spuriously at high speedups.
-  constexpr sim::Duration kSlice = 1 * sim::kMillisecond;
-  const auto start = std::chrono::steady_clock::now();
-  const sim::Time base = sim_.now();
+  wall_anchor_ = std::chrono::steady_clock::now();
+  sim_anchor_ = sim_.now();
   for (;;) {
-    const auto wall_elapsed = std::chrono::duration_cast<
-        std::chrono::microseconds>(std::chrono::steady_clock::now() - start);
-    const auto sim_target =
-        base + static_cast<sim::Time>(
-                   static_cast<double>(wall_elapsed.count()) * speedup_);
-    while (sim_.now() < sim_target) {
-      sim_.run_until(std::min(sim_.now() + kSlice, sim_target));
-      if (bus_.pump() > 0) {
-        // Frames arrived: let the kernels react before time moves on.
-        sim_.run_until(sim_.now());
-      }
-      if (until()) return true;
-    }
-    bus_.pump();
+    advance_to(target());
     if (until()) return true;
-    if (wall_elapsed > wall_budget) return false;
+    if (std::chrono::steady_clock::now() - wall_anchor_ > wall_budget) {
+      return false;
+    }
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }

@@ -54,7 +54,9 @@ class UdpBus final : public net::Bus {
   void send_ref(net::FrameRef frame) override;
 
   /// Drain every socket; decode and deliver arrivals to the attached
-  /// sinks at the current simulated time. Returns frames delivered.
+  /// sinks at the current simulated time, dropping through net::Bus's
+  /// loss decision, so a drop is traced and counted as a simulated one
+  /// is. Returns frames delivered.
   int pump();
 
   /// Register (or re-register, after a reboot rebinds the socket) the UDP
@@ -85,18 +87,6 @@ class UdpBus final : public net::Bus {
   /// SO_RCVBUF the OS actually granted for the most recent station.
   int rcvbuf_effective() const { return rcvbuf_effective_; }
 
-  /// Drop this fraction of incoming datagrams (failure injection on top
-  /// of whatever the real network does).
-  void set_drop_probability(double p) { drop_probability_ = p; }
-
-  /// Scenario-driven receive filter (fleet workers install one compiled
-  /// from the chaos fault schedule): return true to drop the decoded
-  /// frame before delivery. Runs after the uniform drop_probability draw.
-  using RecvFilter = std::function<bool(const net::Frame&)>;
-  void set_recv_filter(RecvFilter f) { recv_filter_ = std::move(f); }
-
-  std::size_t dropped() const { return dropped_; }
-
  private:
   struct Station {
     int fd = -1;
@@ -113,21 +103,36 @@ class UdpBus final : public net::Bus {
   std::size_t send_drops_ = 0;
   int rcvbuf_bytes_ = 1 << 20;
   int rcvbuf_effective_ = 0;
-  double drop_probability_ = 0.0;
-  RecvFilter recv_filter_;
-  std::size_t dropped_ = 0;
 };
 
-/// Drives a Simulator against the wall clock while pumping a UdpBus.
+/// Drives a Simulator against the wall clock while pumping a UdpBus: the
+/// one wall-clock cadence of the real medium (soda_soak, the fleet worker
+/// and the fleet driver's boot-parent node all advance through it).
 class RealtimeRunner {
  public:
   /// speedup: how many simulated microseconds pass per wall microsecond
-  /// (100 = the 1984 hardware runs 100x faster than real time).
+  /// (100 = the 1984 hardware runs 100x faster than real time). The clock
+  /// is anchored here: sim.now() now corresponds to this wall instant.
   RealtimeRunner(sim::Simulator& sim, UdpBus& bus, double speedup = 50.0)
-      : sim_(sim), bus_(bus), speedup_(speedup) {}
+      : sim_(sim),
+        bus_(bus),
+        speedup_(speedup),
+        wall_anchor_(std::chrono::steady_clock::now()),
+        sim_anchor_(sim.now()) {}
 
-  /// Run until `until` returns true or `wall_budget` elapses. Returns
-  /// whether the predicate was satisfied.
+  /// The simulated instant the scaled wall clock has reached.
+  sim::Time target() const;
+
+  /// Advance the simulation to `target` in 1 ms slices, pumping the
+  /// sockets after each: a datagram must land within about a simulated
+  /// millisecond of its arrival or retransmission timers fire spuriously
+  /// at high speedups. When frames arrived, the current instant runs
+  /// again so the kernels react before time moves on; one last pump
+  /// follows.
+  void advance_to(sim::Time target);
+
+  /// Re-anchor the clock at this call, then advance until `until` returns
+  /// true or `wall_budget` elapses. Returns whether the predicate held.
   bool run_until(std::function<bool()> until,
                  std::chrono::milliseconds wall_budget);
 
@@ -135,6 +140,8 @@ class RealtimeRunner {
   sim::Simulator& sim_;
   UdpBus& bus_;
   double speedup_;
+  std::chrono::steady_clock::time_point wall_anchor_;
+  sim::Time sim_anchor_;
 };
 
 }  // namespace soda::posix

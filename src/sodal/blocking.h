@@ -124,7 +124,7 @@ class SodalClient : public Client {
   /// Blocking DISCOVER (§4.1.3): re-broadcasts until at least one server
   /// answers. More sophisticated clients use discover_request() directly.
   sim::Future<ServerSignature> discover(Pattern pattern) {
-    co_await sim::ResumeVia(task_gated_executor());
+    co_await resume_task_gated();
     end_handler_early();  // blocking DISCOVER from the handler (§4.1.1)
     Bytes mids;
     for (;;) {
@@ -156,7 +156,7 @@ class SodalClient : public Client {
                                          Tid* tid_out = nullptr) {
     // The continuation is task-like whether or not we started inside the
     // handler: end_handler_early() below may demote it.
-    co_await sim::ResumeVia(task_gated_executor());
+    co_await resume_task_gated();
     // A blocking REQUEST from inside the handler performs the paper's
     // saved-PC trick (§4.1.1): END the handler so the completion
     // interrupt can be fielded; we resume as task-context code.

@@ -76,7 +76,7 @@ class CspProcess : public SodalClient {
   /// Resolves to the index of the chosen guard, or -1 when every guard
   /// failed (peer terminated / condition false).
   sim::Future<int> alt(std::vector<Guard> guards) {
-    co_await sim::ResumeVia(executor_for_current_context());
+    co_await resume_in_context();
     state_ = State::kQuerying;
     alt_ctx_ = &guards;
     std::vector<bool> failed(guards.size(), false);

@@ -82,7 +82,7 @@ class Directory {
  private:
   static sim::Future<StatusOr<ServerSignature>> resolve_once(
       SodalClient& c, ServerSignature sb, const std::string& name) {
-    co_await sim::ResumeVia(c.executor_for_current_context());
+    co_await c.resume_in_context();
     StatusOr<ServerSignature> r = co_await sb_lookup(c, sb, name,
                                                      /*max_attempts=*/1);
     if (!r.ok() && r.code() == StatusCode::kTimedOut) {
@@ -96,7 +96,7 @@ class Directory {
   static sim::Future<StatusOr<ServerSignature>> watch_ns(
       SodalClient& c, ServerSignature ns, std::string name,
       int max_attempts) {
-    co_await sim::ResumeVia(c.executor_for_current_context());
+    co_await c.resume_in_context();
     Status last = Status::error(StatusCode::kTimedOut);
     for (int i = 0; i < max_attempts; ++i) {
       StatusOr<ServerSignature> r = co_await ns_resolve(c, ns, name);

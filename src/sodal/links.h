@@ -71,7 +71,7 @@ class LinkClient : public SodalClient {
   /// Establish a link to the LinkClient on `peer`. We hold the MASTER
   /// end. Resolves to kNoLink on failure.
   sim::Future<LinkId> connect_link(Mid peer) {
-    co_await sim::ResumeVia(executor_for_current_context());
+    co_await resume_in_context();
     Pattern mine = unique_id();
     advertise(mine);
     Bytes reply;
@@ -115,7 +115,7 @@ class LinkClient : public SodalClient {
   /// transparently to the far end. Resolves true on success; afterwards
   /// this client no longer holds the link.
   sim::Future<bool> move_link(LinkId id, Mid new_host) {
-    co_await sim::ResumeVia(executor_for_current_context());
+    co_await resume_in_context();
     if (!valid(id) || links_[static_cast<std::size_t>(id)].dead) {
       co_return false;
     }
@@ -179,7 +179,7 @@ class LinkClient : public SodalClient {
   /// processes have a link between themselves." We tell the process at
   /// the end of `a` to connect to the machine at the end of `b`.
   sim::Future<bool> introduce(LinkId a, LinkId b) {
-    co_await sim::ResumeVia(task_gated_executor());
+    co_await resume_task_gated();
     if (!valid(a) || !valid(b)) co_return false;
     const Mid target = links_[static_cast<std::size_t>(b)].peer_mid;
     LinkEntry& ea = links_[static_cast<std::size_t>(a)];
@@ -369,7 +369,7 @@ class LinkClient : public SodalClient {
 
   sim::Future<Completion> link_io(LinkId id, std::int32_t arg, Bytes out,
                                   Bytes* in, std::uint32_t n, int attempts) {
-    co_await sim::ResumeVia(executor_for_current_context());
+    co_await resume_in_context();
     for (int i = 0; i < attempts; ++i) {
       if (!valid(id) || links_[static_cast<std::size_t>(id)].dead) {
         co_return Completion{CompletionStatus::kCrashed, 0, 0, 0};

@@ -32,7 +32,7 @@ struct MulticastResult {
 inline sim::Future<MulticastResult> multicast(
     SodalClient& c, const std::vector<ServerSignature>& group,
     std::int32_t arg, const Bytes& data) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   // Every transfer is issued before the first suspension, the last use of
   // the by-reference `group` and `data`.
   std::vector<sim::Future<Completion>> puts;
@@ -105,7 +105,7 @@ class BiddingServer : public SodalClient {
 inline sim::Future<ServerSignature> pick_least_loaded(SodalClient& c,
                                                       Pattern service,
                                                       Pattern bid_pattern) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   // 1. DISCOVER the community.
   Bytes mids;
   c.discover_request(service, &mids, 64);

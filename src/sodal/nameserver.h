@@ -236,7 +236,7 @@ inline Bytes ns_bind_payload(const std::string& path, ServerSignature sig) {
 inline sim::Future<Status> ns_bind(SodalClient& c, ServerSignature ns,
                                    const std::string& path,
                                    ServerSignature sig) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   co_return to_status(
       co_await c.b_put(ns, 1, detail::ns_bind_payload(path, sig)));
 }
@@ -244,14 +244,14 @@ inline sim::Future<Status> ns_bind(SodalClient& c, ServerSignature ns,
 /// Remove the binding for `path`, if any.
 inline sim::Future<Status> ns_unbind(SodalClient& c, ServerSignature ns,
                                      const std::string& path) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   co_return to_status(co_await c.b_put(ns, 6, to_bytes(path)));
 }
 
 /// Resolve a path to a signature (kNotFound when unbound).
 inline sim::Future<StatusOr<ServerSignature>> ns_resolve(
     SodalClient& c, ServerSignature ns, const std::string& path) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   Completion done = co_await c.b_put(ns, 2, to_bytes(path));
   if (!done.ok()) co_return to_status(done);
   Bytes sig;
@@ -266,7 +266,7 @@ inline sim::Future<StatusOr<ServerSignature>> ns_resolve(
 /// List the immediate children of a directory path.
 inline sim::Future<StatusOr<std::vector<std::string>>> ns_list(
     SodalClient& c, ServerSignature ns, const std::string& path) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   Completion done = co_await c.b_put(ns, 4, to_bytes(path));
   if (!done.ok()) co_return to_status(done);
   Bytes listing;

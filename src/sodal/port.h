@@ -99,7 +99,7 @@ class PortServer : public SodalClient {
 /// extra latency while the port's handler is CLOSEd.
 inline sim::Future<Status> port_send(SodalClient& c, ServerSignature port,
                                      std::int32_t priority, Bytes data) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   co_return to_status(co_await c.b_put(port, priority, std::move(data)));
 }
 

@@ -108,7 +108,7 @@ inline sim::Future<StatusOr<Bytes>> rpc_invoke(SodalClient& c,
                                                Bytes in_params,
                                                std::uint32_t max_result =
                                                    2000) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   // Pin the pool to one member first: the PUT carries the arguments and
   // the GET fetches the results, and RpcServer keys its session on the
   // calling machine — both halves of the call must land on one server.

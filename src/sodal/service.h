@@ -56,7 +56,7 @@ class ServiceHandle {
 /// exchange must stay on one server — e.g. an RPC's PUT/GET pair.
 inline sim::Future<StatusOr<ServerSignature>> service_resolve(
     SodalClient& c, ServiceHandle h, int max_attempts = 4) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   if (!h.is_pool()) co_return h.signature();
   // The kernel's pool directory is fed by DISCOVER replies; if nothing
   // has been discovered yet, run a DISCOVER round and retry.

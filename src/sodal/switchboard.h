@@ -82,7 +82,7 @@ class Switchboard : public SodalClient {
 inline sim::Future<Status> sb_register(SodalClient& c, ServerSignature sb,
                                        const std::string& name,
                                        ServerSignature sig) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   Bytes payload = to_bytes(name);
   Bytes s = encode_u32(static_cast<std::uint32_t>(sig.mid));
   Bytes p = encode_u64(sig.pattern);
@@ -98,7 +98,7 @@ inline sim::Future<Status> sb_register(SodalClient& c, ServerSignature sb,
 inline sim::Future<StatusOr<ServerSignature>> sb_lookup(
     SodalClient& c, ServerSignature sb, std::string name,
     int max_attempts = 40) {
-  co_await sim::ResumeVia(c.executor_for_current_context());
+  co_await c.resume_in_context();
   Status last = Status::error(StatusCode::kTimedOut);
   for (int i = 0; i < max_attempts; ++i) {
     Completion done = co_await c.b_put(sb, 2, to_bytes(name));

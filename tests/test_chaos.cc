@@ -6,6 +6,8 @@
 // round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -259,6 +261,38 @@ TEST(ChaosScenario, JsonlRoundTripsEveryBuiltin) {
 TEST(ChaosScenario, JsonlRejectsGarbage) {
   EXPECT_FALSE(scenario_from_jsonl("not json").has_value());
   EXPECT_FALSE(scenario_from_jsonl("").has_value());
+}
+
+TEST(ChaosScenario, LoadScenarioTriesBuiltinThenFile) {
+  std::string error;
+  auto builtin = load_scenario("smoke", &error);
+  ASSERT_TRUE(builtin.has_value()) << error;
+  EXPECT_EQ(*builtin, *builtin_scenario("smoke"));
+
+  const std::string dir = ::testing::TempDir();
+  const std::string good = dir + "soda_load_scenario_good.jsonl";
+  Scenario written = *builtin_scenario("regression");
+  written.name = "from_file";
+  std::ofstream(good) << to_jsonl(written);
+  auto from_file = load_scenario(good, &error);
+  ASSERT_TRUE(from_file.has_value()) << error;
+  EXPECT_EQ(*from_file, written);
+
+  error.clear();
+  const std::string missing = dir + "soda_load_scenario_missing.jsonl";
+  std::remove(missing.c_str());
+  EXPECT_FALSE(load_scenario(missing, &error).has_value());
+  EXPECT_NE(error.find("no builtin or file"), std::string::npos) << error;
+
+  error.clear();
+  const std::string bad = dir + "soda_load_scenario_bad.jsonl";
+  std::ofstream(bad) << "{\"kind\":\"scenario\",\"nodes\":\n";
+  EXPECT_FALSE(load_scenario(bad, &error).has_value());
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  EXPECT_FALSE(load_scenario(bad, nullptr).has_value());
+
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 TEST(ChaosScenario, BuilderChainsFaults) {

@@ -4,7 +4,12 @@
 // binary (path injected at compile time) and skip gracefully when the
 // environment forbids fork or sockets.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <string>
 
 #include "chaos/runner.h"
 #include "chaos/scenario.h"
@@ -30,6 +35,65 @@ TEST(FleetControl, LineBufferSplitsAndReassembles) {
   auto c = lb.next_line();
   ASSERT_TRUE(c);
   EXPECT_EQ(*c, "gh");
+
+  // The same framing through fill_from on a nonblocking stream: a line
+  // split across two fills, CRLF, and EOF reported as false with the
+  // buffered lines still drainable.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_TRUE(set_nonblocking(sv[0]));
+  LineBuffer rb;
+  EXPECT_TRUE(rb.fill_from(sv[0]));  // nothing sent yet: would block
+  EXPECT_FALSE(rb.next_line().has_value());
+  ASSERT_EQ(::write(sv[1], "hel", 3), 3);
+  EXPECT_TRUE(rb.fill_from(sv[0]));
+  EXPECT_FALSE(rb.next_line().has_value());
+  ASSERT_EQ(::write(sv[1], "lo\r\nwor", 7), 7);
+  EXPECT_TRUE(rb.fill_from(sv[0]));
+  auto d = rb.next_line();
+  ASSERT_TRUE(d);
+  EXPECT_EQ(*d, "hello");
+  EXPECT_FALSE(rb.next_line().has_value());
+  ASSERT_EQ(::write(sv[1], "ld\n", 3), 3);
+  ::close(sv[1]);
+  EXPECT_FALSE(rb.fill_from(sv[0]));  // EOF
+  auto e = rb.next_line();
+  ASSERT_TRUE(e);
+  EXPECT_EQ(*e, "world");
+  EXPECT_FALSE(rb.next_line().has_value());
+  ::close(sv[0]);
+}
+
+// One fill_from can hold whatever a control socket has buffered (say, a
+// worker's backlog after a SIGSTOP window). Draining must stay linear in
+// the bytes held: 16 MiB of 150-byte lines, fed in read-sized chunks,
+// drains in well under a second; erasing the consumed prefix per line
+// took tens of seconds.
+TEST(FleetControl, LineBufferDrainsLargeBacklogLinearly) {
+  constexpr std::size_t kLine = 150;
+  constexpr std::size_t kLines = (16u << 20) / kLine;
+  std::string line(kLine - 1, 'x');
+  line += '\n';
+  std::string backlog;
+  backlog.reserve(kLines * kLine);
+  for (std::size_t i = 0; i < kLines; ++i) backlog += line;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  LineBuffer lb;
+  constexpr std::size_t kChunk = 65536;
+  for (std::size_t off = 0; off < backlog.size(); off += kChunk) {
+    lb.feed(backlog.data() + off, std::min(kChunk, backlog.size() - off));
+  }
+  std::size_t drained = 0;
+  while (auto l = lb.next_line()) {
+    ASSERT_EQ(l->size(), kLine - 1);
+    ++drained;
+  }
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(drained, kLines);
+  EXPECT_LT(secs, 5.0);
 }
 
 TEST(FleetControl, MessageRoundTrips) {

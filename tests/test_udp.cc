@@ -9,6 +9,7 @@
 #include "net/wire.h"
 #include "posix/udp_network.h"
 #include "sodal/sodal.h"
+#include "stats/metrics.h"
 
 namespace soda::posix {
 namespace {
@@ -138,13 +139,28 @@ TEST(Udp, SurvivesInjectedDatagramLoss) {
   } catch (const std::runtime_error&) {
     GTEST_SKIP() << "UDP sockets unavailable";
   }
-  net->bus().set_drop_probability(0.2);
+  // The real medium drops through net::Bus's one loss decision, so each
+  // drop is traced and counted exactly as a simulated drop is.
+  net->bus().set_loss_probability(0.2);
+  net->sim().trace().disable_all();
+  net->sim().trace().enable(sim::TraceCategory::kPacketDropped);
   auto& caller = net->spawn<Caller>(NodeConfig{}, 5);
   const bool finished = net->run_until([&] { return caller.done; },
                                        std::chrono::milliseconds(20000));
   net->check_clients();
   ASSERT_TRUE(finished) << "lossy UDP stream did not finish";
   EXPECT_EQ(caller.good, 5);  // alternating-bit recovered everything
+  EXPECT_GT(net->bus().frames_lost(), 0u);
+  std::size_t lost_events = 0;
+  for (const auto& e : net->sim().trace().events()) {
+    if (e.category == sim::TraceCategory::kPacketDropped &&
+        e.status == sim::TraceStatus::kLost) {
+      ++lost_events;
+    }
+  }
+  EXPECT_EQ(lost_events, net->bus().frames_lost());
+  EXPECT_EQ(net->sim().metrics().total(stats::Counter::kFramesDropped),
+            net->bus().frames_lost());
 }
 
 // Raw malformed datagrams aimed straight at a station's socket: the wire

@@ -15,9 +15,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "benchsupport/report.h"
@@ -45,24 +42,6 @@ int usage() {
                "  --shrink         with --seed: minimize the fault schedule\n"
                "  --export         print the scenario as JSONL and exit\n");
   return 2;
-}
-
-std::optional<chaos::Scenario> load_scenario(const std::string& arg) {
-  if (auto s = chaos::builtin_scenario(arg)) return s;
-  std::ifstream in(arg);
-  if (!in) {
-    std::fprintf(stderr, "soda_chaos: no builtin or file named '%s'\n",
-                 arg.c_str());
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto s = chaos::scenario_from_jsonl(text.str());
-  if (!s) {
-    std::fprintf(stderr, "soda_chaos: malformed scenario file '%s'\n",
-                 arg.c_str());
-  }
-  return s;
 }
 
 void print_violations(const chaos::RunResult& r) {
@@ -199,8 +178,12 @@ int main(int argc, char** argv) {
   }
 
   if (scenario_arg.empty()) return usage();
-  auto scenario = load_scenario(scenario_arg);
-  if (!scenario) return 2;
+  std::string error;
+  auto scenario = chaos::load_scenario(scenario_arg, &error);
+  if (!scenario) {
+    std::fprintf(stderr, "soda_chaos: %s\n", error.c_str());
+    return 2;
+  }
 
   if (export_jsonl) {
     std::fputs(chaos::to_jsonl(*scenario).c_str(), stdout);

@@ -24,9 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "benchsupport/report.h"
@@ -55,24 +52,6 @@ int usage() {
       "  --no-twin        skip the simulated cross-check run\n"
       "  --verbose        log chaos actions as they fire\n");
   return 2;
-}
-
-std::optional<chaos::Scenario> load_scenario(const std::string& arg) {
-  if (auto s = chaos::builtin_scenario(arg)) return s;
-  std::ifstream in(arg);
-  if (!in) {
-    std::fprintf(stderr, "soda_fleet: no builtin or file named '%s'\n",
-                 arg.c_str());
-    return std::nullopt;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto s = chaos::scenario_from_jsonl(text.str());
-  if (!s) {
-    std::fprintf(stderr, "soda_fleet: malformed scenario file '%s'\n",
-                 arg.c_str());
-  }
-  return s;
 }
 
 /// The worker binary lives next to soda_fleet in every build layout; allow
@@ -135,8 +114,12 @@ int main(int argc, char** argv) {
     }
   }
   if (scenario_arg.empty()) return usage();
-  auto scenario = load_scenario(scenario_arg);
-  if (!scenario) return 2;
+  std::string error;
+  auto scenario = chaos::load_scenario(scenario_arg, &error);
+  if (!scenario) {
+    std::fprintf(stderr, "soda_fleet: %s\n", error.c_str());
+    return 2;
+  }
   // Overrides apply before BOTH runs, so real and twin see one topology.
   if (nodes_override > 0) scenario->nodes = nodes_override;
   if (servers_override > 0) scenario->servers = servers_override;

@@ -29,7 +29,6 @@
 //   $ printf 'node\nnode\nadvertise 0 42\nput 1 0 42 7 hello\nrun 50\nquit\n' |
 //     ./tools/soda_shell
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -363,18 +362,10 @@ int main() {
         std::string which;
         int seeds = 50;
         in >> which >> seeds;
-        std::optional<chaos::Scenario> sc = chaos::builtin_scenario(which);
+        std::string error;
+        const auto sc = chaos::load_scenario(which, &error);
         if (!sc) {
-          std::ifstream f(which);
-          std::ostringstream text;
-          if (f) {
-            text << f.rdbuf();
-            sc = chaos::scenario_from_jsonl(text.str());
-          }
-        }
-        if (!sc) {
-          std::printf("chaos: no builtin or readable scenario '%s'\n",
-                      which.c_str());
+          std::printf("chaos: %s\n", error.c_str());
           continue;
         }
         chaos::SweepOptions so;

@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "chaos/observer.h"
 #include "chaos/workload.h"
@@ -108,16 +107,14 @@ int main(int argc, char** argv) {
   sim.trace().set_store(false);
   chaos::RunObserver observer;
   observer.observe(sim.trace());
-  net.bus().set_drop_probability(o.drop);
+  net.bus().set_loss_probability(o.drop);
 
-  std::vector<chaos::EchoServer*> servers;
-  std::vector<chaos::LoadClient*> clients;
   try {
     for (int mid = 0; mid < o.nodes; ++mid) {
       if (mid < o.servers) {
-        servers.push_back(&net.spawn<chaos::EchoServer>(NodeConfig{}, s));
+        net.spawn<chaos::EchoServer>(NodeConfig{}, s);
       } else {
-        clients.push_back(&net.spawn<chaos::LoadClient>(NodeConfig{}, s));
+        net.spawn<chaos::LoadClient>(NodeConfig{}, s);
       }
     }
   } catch (const std::runtime_error& ex) {
@@ -147,26 +144,19 @@ int main(int argc, char** argv) {
   net.check_clients();
   observer.finish(sim.now());
 
-  std::uint64_t completed = 0, crashed = 0, timedout = 0, served = 0;
-  for (const auto* c : clients) {
-    completed += c->completed();
-    crashed += c->crashed();
-    timedout += c->timedout();
-  }
-  for (const auto* sv : servers) served += sv->served();
-
+  const chaos::RunStats& st = observer.stats();
   std::printf("  sim time      %.1f s (budget reached: %s)\n",
               static_cast<double>(sim.now()) / 1e6, finished ? "yes" : "no");
   std::printf("  ops completed %llu (crashed %llu, timedout %llu, "
-              "served %llu)\n",
-              static_cast<unsigned long long>(completed),
-              static_cast<unsigned long long>(crashed),
-              static_cast<unsigned long long>(timedout),
-              static_cast<unsigned long long>(served));
+              "delivered %llu)\n",
+              static_cast<unsigned long long>(st.ok_completions),
+              static_cast<unsigned long long>(st.crashed_completions),
+              static_cast<unsigned long long>(st.timedout_completions),
+              static_cast<unsigned long long>(st.deliveries));
   std::printf("  datagrams     out %zu, in %zu, dropped %zu, "
               "undecodable %zu\n",
               net.bus().datagrams_out(), net.bus().datagrams_in(),
-              net.bus().dropped(), net.bus().decode_failures());
+              net.bus().frames_lost(), net.bus().decode_failures());
 
   const auto violations = observer.violations();
   for (const auto& v : violations) {
@@ -174,7 +164,7 @@ int main(int argc, char** argv) {
                 v.detail.c_str());
   }
   if (!violations.empty()) return 1;
-  if (completed == 0) {
+  if (st.ok_completions == 0) {
     std::printf("soda_soak: no operation completed — wedged or starved\n");
     return 1;
   }

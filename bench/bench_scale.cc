@@ -1,11 +1,11 @@
 // Scaling beyond the paper's eight PDP-11s: run the star-RPC, DISCOVER-
-// storm, replicated-store and name-storm workloads at 8..64 nodes under
-// the fast timing preset, with the O(N) fixes switched off ("legacy") and
-// on ("optimized"), and report the deterministic cost counters side by
-// side, then push contention and star-RPC to 128/256 nodes with
-// exponential retransmit backoff. Rows land in BENCH_scale.jsonl for the
-// trend tooling; wall-clock columns (wall_ms, events_per_wall_s,
-// peak_rss_kb) are host-dependent and gated only loosely.
+// storm, replicated-store, name-storm and contention workloads at 8..64
+// nodes under the fast timing preset and report the deterministic cost
+// counters, one row per configuration, then push contention and star-RPC
+// to 128/256 nodes with exponential retransmit backoff. Rows land in
+// BENCH_scale.jsonl for the trend tooling; wall-clock columns (wall_ms,
+// events_per_wall_s, peak_rss_kb) are host-dependent and gated only
+// loosely.
 #include <cstdio>
 #include <cstring>
 
@@ -29,9 +29,8 @@ int servers_for(Workload w, int nodes) {
   return 1;
 }
 
-HarnessResult run(Workload w, int nodes, bool optimized, double loss,
-                  std::uint64_t seed, bool backoff = false,
-                  int pool_size = 0, int segments = 1) {
+HarnessResult run(Workload w, int nodes, double loss, std::uint64_t seed,
+                  bool backoff = false, int pool_size = 0, int segments = 1) {
   HarnessOptions o;
   o.workload = w;
   o.nodes = nodes;
@@ -41,7 +40,6 @@ HarnessResult run(Workload w, int nodes, bool optimized, double loss,
   o.segments = segments;
   o.loss = loss;
   o.seed = seed;
-  o.optimized = optimized;
   o.retransmit_backoff = backoff;
   return run_harness(o);
 }
@@ -53,16 +51,14 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   JsonlReport report("scale");
-  auto emit = [&report](Workload w, int nodes, int servers, bool optimized,
-                        double loss, const HarnessResult& r,
-                        bool backoff = false, int pool_size = 0,
-                        int segments = 1) {
+  auto emit = [&report](Workload w, int nodes, int servers, double loss,
+                        const HarnessResult& r, bool backoff = false,
+                        int pool_size = 0, int segments = 1) {
     report.row(stats::JsonObject()
                    .set("kind", "scale")
                    .set("workload", to_string(w))
                    .set("nodes", nodes)
                    .set("servers", servers)
-                   .set("optimized", optimized)
                    .set("retransmit_backoff", backoff)
                    .set("pool_size", pool_size)
                    .set("segments", segments)
@@ -94,9 +90,8 @@ int main(int argc, char** argv) {
 
   std::printf("Scaling past the 1984 model\n");
   std::printf("===========================\n");
-  std::printf("fast timing preset; legacy = promiscuous NIC + per-frame "
-              "timer churn + flat name table,\noptimized = NIC pattern "
-              "filter + batched timers + indexed name table.\n");
+  std::printf("fast timing preset, NIC pattern filter, batched timers, "
+              "indexed name table.\n");
 
   const Workload all[] = {Workload::kStarRpc, Workload::kDiscoverStorm,
                           Workload::kReplicatedStore, Workload::kNameStorm,
@@ -104,53 +99,49 @@ int main(int argc, char** argv) {
   const int sizes[] = {8, 16, 32, 64};
 
   for (Workload w : all) {
-    // --quick keeps star_rpc at 8/16 plus the 64-node contention pair —
+    // --quick keeps star_rpc at 8/16 plus the 64-node contention row —
     // the overload row the trend gate watches.
     if (quick && w != Workload::kStarRpc && w != Workload::kContention) {
       continue;
     }
     std::printf("\n[%s]\n", to_string(w));
-    std::printf("  %5s %5s %9s %12s %12s %12s %10s %9s %4s\n", "nodes",
-                "mode", "sim_ms", "events", "sched", "filtered", "frames",
-                "ops", "viol");
+    std::printf("  %5s %9s %12s %12s %12s %10s %9s %4s\n", "nodes",
+                "sim_ms", "events", "sched", "filtered", "frames", "ops",
+                "viol");
     for (int nodes : sizes) {
       if (quick && (w == Workload::kContention ? nodes != 64 : nodes > 16)) {
         continue;
       }
       const int servers = servers_for(w, nodes);
-      for (bool optimized : {false, true}) {
-        const HarnessResult r = run(w, nodes, optimized, /*loss=*/0.0,
-                                    /*seed=*/1);
-        emit(w, nodes, servers, optimized, 0.0, r);
-        std::printf("  %5d %5s %9.1f %12llu %12llu %12llu %10llu %5llu/%-3llu"
-                    " %4llu\n",
-                    nodes, optimized ? "opt" : "base",
-                    sim::to_ms(r.sim_elapsed),
-                    static_cast<unsigned long long>(r.events_executed),
-                    static_cast<unsigned long long>(r.events_scheduled),
-                    static_cast<unsigned long long>(r.frames_filtered),
-                    static_cast<unsigned long long>(r.frames_sent),
-                    static_cast<unsigned long long>(r.ops_done),
-                    static_cast<unsigned long long>(r.ops_expected),
-                    static_cast<unsigned long long>(r.violations));
-        if (w == Workload::kContention) {
-          std::printf("        %5s goodput=%.0f ops/s  fairness min/max="
-                      "%llu/%llu  timedout=%llu shed=%llu\n",
-                      "", r.goodput_ops_per_s,
-                      static_cast<unsigned long long>(r.ops_min),
-                      static_cast<unsigned long long>(r.ops_max),
-                      static_cast<unsigned long long>(r.requests_timedout),
-                      static_cast<unsigned long long>(r.shed_offers));
-        }
+      const HarnessResult r = run(w, nodes, /*loss=*/0.0, /*seed=*/1);
+      emit(w, nodes, servers, 0.0, r);
+      std::printf("  %5d %9.1f %12llu %12llu %12llu %10llu %5llu/%-3llu"
+                  " %4llu\n",
+                  nodes, sim::to_ms(r.sim_elapsed),
+                  static_cast<unsigned long long>(r.events_executed),
+                  static_cast<unsigned long long>(r.events_scheduled),
+                  static_cast<unsigned long long>(r.frames_filtered),
+                  static_cast<unsigned long long>(r.frames_sent),
+                  static_cast<unsigned long long>(r.ops_done),
+                  static_cast<unsigned long long>(r.ops_expected),
+                  static_cast<unsigned long long>(r.violations));
+      if (w == Workload::kContention) {
+        std::printf("        goodput=%.0f ops/s  fairness min/max="
+                    "%llu/%llu  timedout=%llu shed=%llu\n",
+                    r.goodput_ops_per_s,
+                    static_cast<unsigned long long>(r.ops_min),
+                    static_cast<unsigned long long>(r.ops_max),
+                    static_cast<unsigned long long>(r.requests_timedout),
+                    static_cast<unsigned long long>(r.shed_offers));
       }
     }
   }
 
-  // 128/256-node tiers: contention and star-RPC on the optimized engine
-  // with exponential retransmit backoff — the fixed silence window is
-  // what collapses these sizes (a queue-saturated but healthy server gets
-  // declared CRASHED en masse). One backoff-off 128-node contention row
-  // rides along so the before/after stays on record.
+  // 128/256-node tiers: contention and star-RPC with exponential
+  // retransmit backoff — the fixed silence window is what collapses these
+  // sizes (a queue-saturated but healthy server gets declared CRASHED en
+  // masse). One backoff-off 128-node contention row rides along so the
+  // before/after stays on record.
   std::printf("\n[beyond 64 nodes]\n");
   std::printf("  %5s %10s %6s %9s %12s %10s %9s %4s %12s\n", "nodes",
               "workload", "bkoff", "sim_ms", "events", "frames", "ops",
@@ -174,10 +165,9 @@ int main(int argc, char** argv) {
         continue;  // base row only at the 128-node contention tier
       }
       const HarnessResult r =
-          run(tier.w, tier.nodes, /*optimized=*/true, /*loss=*/0.0,
-              /*seed=*/1, backoff);
-      emit(tier.w, tier.nodes, servers_for(tier.w, tier.nodes),
-           /*optimized=*/true, 0.0, r, backoff);
+          run(tier.w, tier.nodes, /*loss=*/0.0, /*seed=*/1, backoff);
+      emit(tier.w, tier.nodes, servers_for(tier.w, tier.nodes), 0.0, r,
+           backoff);
       std::printf("  %5d %10s %6s %9.1f %12llu %10llu %5llu/%-3llu %4llu"
                   " %12.0f\n",
                   tier.nodes, to_string(tier.w), backoff ? "on" : "off",
@@ -201,11 +191,9 @@ int main(int argc, char** argv) {
   std::printf("  %5s %9s %9s %9s %13s %9s %4s\n", "pool", "sim_ms",
               "goodput", "ops", "min/max", "timedout", "viol");
   for (int pool : {1, 2, 4, 8}) {
-    const HarnessResult r =
-        run(Workload::kContention, 128, /*optimized=*/true, /*loss=*/0.0,
-            /*seed=*/1, /*backoff=*/true, pool);
-    emit(Workload::kContention, 128, pool, /*optimized=*/true, 0.0, r,
-         /*backoff=*/true, pool);
+    const HarnessResult r = run(Workload::kContention, 128, /*loss=*/0.0,
+                                /*seed=*/1, /*backoff=*/true, pool);
+    emit(Workload::kContention, 128, pool, 0.0, r, /*backoff=*/true, pool);
     std::printf("  %5d %9.1f %9.0f %5llu/%-3llu %6llu/%-6llu %9llu %4llu\n",
                 pool, sim::to_ms(r.sim_elapsed), r.goodput_ops_per_s,
                 static_cast<unsigned long long>(r.ops_done),
@@ -243,12 +231,10 @@ int main(int argc, char** argv) {
   };
   for (const auto& tier : inet_tiers) {
     if (quick && !tier.in_quick) continue;
-    const HarnessResult r =
-        run(tier.w, tier.nodes, /*optimized=*/true, /*loss=*/0.0,
-            /*seed=*/1, /*backoff=*/true, tier.pool, tier.segments);
-    emit(tier.w, tier.nodes, servers_for(tier.w, tier.nodes),
-         /*optimized=*/true, 0.0, r, /*backoff=*/true, tier.pool,
-         tier.segments);
+    const HarnessResult r = run(tier.w, tier.nodes, /*loss=*/0.0, /*seed=*/1,
+                                /*backoff=*/true, tier.pool, tier.segments);
+    emit(tier.w, tier.nodes, servers_for(tier.w, tier.nodes), 0.0, r,
+         /*backoff=*/true, tier.pool, tier.segments);
     std::printf("  %5d %4d %10s %6d %9.1f %12llu %10llu %5llu/%-5llu %4llu\n",
                 tier.nodes, tier.segments, to_string(tier.w), tier.pool,
                 sim::to_ms(r.sim_elapsed),
@@ -259,21 +245,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.violations));
   }
 
-  // One lossy row pair at 32 nodes: the optimizations must not change
-  // workload completion under 5% frame loss.
+  // One lossy row at 32 nodes: workload completion under 5% frame loss.
   if (!quick) {
     std::printf("\n[star_rpc, 5%% loss, 32 nodes]\n");
-    for (bool optimized : {false, true}) {
-      const HarnessResult r =
-          run(Workload::kStarRpc, 32, optimized, 0.05, 7);
-      emit(Workload::kStarRpc, 32, servers_for(Workload::kStarRpc, 32),
-           optimized, 0.05, r);
-      std::printf("  %5s sim_ms=%.1f ops=%llu/%llu violations=%llu\n",
-                  optimized ? "opt" : "base", sim::to_ms(r.sim_elapsed),
-                  static_cast<unsigned long long>(r.ops_done),
-                  static_cast<unsigned long long>(r.ops_expected),
-                  static_cast<unsigned long long>(r.violations));
-    }
+    const HarnessResult r = run(Workload::kStarRpc, 32, 0.05, 7);
+    emit(Workload::kStarRpc, 32, servers_for(Workload::kStarRpc, 32), 0.05,
+         r);
+    std::printf("  sim_ms=%.1f ops=%llu/%llu violations=%llu\n",
+                sim::to_ms(r.sim_elapsed),
+                static_cast<unsigned long long>(r.ops_done),
+                static_cast<unsigned long long>(r.ops_expected),
+                static_cast<unsigned long long>(r.violations));
   }
 
   if (report.enabled()) {

@@ -104,7 +104,7 @@ void aggregate_scale(TrendReport& r) {
   // key: workload | nodes | loss | retransmit_backoff | pool_size |
   //      segments
   std::map<std::tuple<std::string, int, double, bool, int, int>, ScaleTrend>
-      pairs;
+      configs;
   for (const TrendRow& row : r.rows) {
     if (row.str("kind") != "scale") continue;
     const std::string workload = row.str("workload");
@@ -114,49 +114,28 @@ void aggregate_scale(TrendReport& r) {
                          row.num("retransmit_backoff").value_or(0) != 0;
     const int pool = static_cast<int>(row.num("pool_size").value_or(0));
     const int segments = static_cast<int>(row.num("segments").value_or(1));
-    ScaleTrend& t = pairs[{workload, nodes, loss, backoff, pool, segments}];
+    ScaleTrend& t = configs[{workload, nodes, loss, backoff, pool, segments}];
     t.workload = workload;
     t.nodes = nodes;
     t.loss = loss;
     t.backoff = backoff;
     t.pool_size = pool;
     t.segments = segments;
-    const bool opt = row.str("optimized") == "true" ||
-                     row.num("optimized").value_or(0) != 0;
-    const double events = row.num("events_executed").value_or(0);
-    const double sched = row.num("events_scheduled").value_or(0);
-    const double frames = row.num("frames_sent").value_or(0);
-    const double ops = row.num("ops_done").value_or(0);
-    if (opt) {
-      t.opt_events = events;
-      t.opt_scheduled = sched;
-      t.opt_frames = frames;
-      t.opt_ops = ops;
-      t.opt_filtered = row.num("frames_filtered").value_or(0);
-      t.opt_goodput = row.num("goodput_ops_s").value_or(0);
-      t.opt_ops_min = row.num("ops_min").value_or(0);
-      t.opt_ops_max = row.num("ops_max").value_or(0);
-      t.opt_timedout = row.num("timedout").value_or(0);
-      t.opt_shed = row.num("shed_offers").value_or(0);
-      t.opt_ev_wall = row.num("events_per_wall_s").value_or(0);
-      t.opt_rss_kb = row.num("peak_rss_kb").value_or(0);
-      t.opt_relayed = row.num("frames_relayed").value_or(0);
-    } else {
-      t.base_events = events;
-      t.base_scheduled = sched;
-      t.base_frames = frames;
-      t.base_ops = ops;
-      t.base_goodput = row.num("goodput_ops_s").value_or(0);
-      t.base_ops_min = row.num("ops_min").value_or(0);
-      t.base_ops_max = row.num("ops_max").value_or(0);
-      t.base_timedout = row.num("timedout").value_or(0);
-      t.base_shed = row.num("shed_offers").value_or(0);
-      t.base_ev_wall = row.num("events_per_wall_s").value_or(0);
-    }
-    t.ops_expected = row.num("ops_expected").value_or(t.ops_expected);
+    t.events = row.num("events_executed").value_or(0);
+    t.scheduled = row.num("events_scheduled").value_or(0);
+    t.frames = row.num("frames_sent").value_or(0);
+    t.filtered = row.num("frames_filtered").value_or(0);
+    t.ops = row.num("ops_done").value_or(0);
+    t.ops_expected = row.num("ops_expected").value_or(0);
+    t.goodput = row.num("goodput_ops_s").value_or(0);
+    t.ops_min = row.num("ops_min").value_or(0);
+    t.ops_max = row.num("ops_max").value_or(0);
+    t.timedout = row.num("timedout").value_or(0);
+    t.ev_wall = row.num("events_per_wall_s").value_or(0);
+    t.rss_kb = row.num("peak_rss_kb").value_or(0);
     t.violations += row.num("violations").value_or(0);
   }
-  for (auto& [key, t] : pairs) r.scale.push_back(t);
+  for (auto& [key, t] : configs) r.scale.push_back(t);
 }
 
 std::string scale_label(const std::string& workload, bool backoff,
@@ -241,42 +220,39 @@ std::string format_trend_report(const TrendReport& r) {
   }
 
   if (!r.scale.empty()) {
-    out << "\nScaling matrix (base -> optimized, % = reduction)\n";
+    out << "\nScaling matrix\n";
     char buf[200];
-    std::snprintf(buf, sizeof buf, "  %-18s %5s %5s %22s %22s %10s %6s\n",
-                  "workload", "nodes", "loss", "sched events", "frames",
-                  "filtered", "viol");
+    std::snprintf(buf, sizeof buf, "  %-27s %5s %5s %11s %12s %10s %10s %6s\n",
+                  "workload", "nodes", "loss", "ops", "sched events",
+                  "frames", "filtered", "viol");
     out << buf;
     for (const auto& t : r.scale) {
       const std::string label = scale_label(t.workload, t.backoff,
                                              t.pool_size, t.segments);
-      std::snprintf(
-          buf, sizeof buf,
-          "  %-18s %5d %4.0f%% %9.0f->%-7.0f %2.0f%% %9.0f->%-7.0f %2.0f%% "
-          "%10.0f %6.0f\n",
-          label.c_str(), t.nodes, t.loss * 100, t.base_scheduled,
-          t.opt_scheduled, ScaleTrend::win(t.base_scheduled, t.opt_scheduled),
-          t.base_frames, t.opt_frames,
-          ScaleTrend::win(t.base_frames, t.opt_frames), t.opt_filtered,
-          t.violations);
+      std::snprintf(buf, sizeof buf,
+                    "  %-27s %5d %4.0f%% %5.0f/%-5.0f %12.0f %10.0f %10.0f "
+                    "%6.0f\n",
+                    label.c_str(), t.nodes, t.loss * 100, t.ops,
+                    t.ops_expected, t.scheduled, t.frames, t.filtered,
+                    t.violations);
       out << buf;
     }
 
     // Engine throughput: host-dependent, so reported but never compared
     // tightly. Only rows that carried the column (newer harness) print.
     bool any_ev_wall = false;
-    for (const auto& t : r.scale) any_ev_wall |= t.opt_ev_wall > 0;
+    for (const auto& t : r.scale) any_ev_wall |= t.ev_wall > 0;
     if (any_ev_wall) {
-      out << "\nEngine throughput (optimized rows; host-dependent)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %14s %12s\n", "workload",
+      out << "\nEngine throughput (host-dependent)\n";
+      std::snprintf(buf, sizeof buf, "  %-27s %5s %14s %12s\n", "workload",
                     "nodes", "events/wall-s", "peak RSS kB");
       out << buf;
       for (const auto& t : r.scale) {
-        if (t.opt_ev_wall <= 0) continue;
+        if (t.ev_wall <= 0) continue;
         const std::string label = scale_label(t.workload, t.backoff,
                                                t.pool_size, t.segments);
-        std::snprintf(buf, sizeof buf, "  %-18s %5d %14.0f %12.0f\n",
-                      label.c_str(), t.nodes, t.opt_ev_wall, t.opt_rss_kb);
+        std::snprintf(buf, sizeof buf, "  %-27s %5d %14.0f %12.0f\n",
+                      label.c_str(), t.nodes, t.ev_wall, t.rss_kb);
         out << buf;
       }
     }
@@ -284,26 +260,21 @@ std::string format_trend_report(const TrendReport& r) {
     // Goodput/fairness columns only mean something for the contention
     // workload (per-client tallies); star_rpc et al. leave them zero.
     bool any_goodput = false;
-    for (const auto& t : r.scale) {
-      any_goodput |= t.base_ops_max > 0 || t.opt_ops_max > 0;
-    }
+    for (const auto& t : r.scale) any_goodput |= t.ops_max > 0;
     if (any_goodput) {
-      out << "\nOverload goodput & fairness (base -> optimized)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %18s %13s %13s %12s\n",
-                    "workload", "nodes", "goodput ops/s", "min/max base",
-                    "min/max opt", "timedout");
+      out << "\nOverload goodput & fairness\n";
+      std::snprintf(buf, sizeof buf, "  %-27s %5s %14s %13s %9s\n",
+                    "workload", "nodes", "goodput ops/s", "min/max ops",
+                    "timedout");
       out << buf;
       for (const auto& t : r.scale) {
-        if (t.base_ops_max <= 0 && t.opt_ops_max <= 0) continue;
+        if (t.ops_max <= 0) continue;
         const std::string label = scale_label(t.workload, t.backoff,
                                                t.pool_size, t.segments);
         std::snprintf(buf, sizeof buf,
-                      "  %-18s %5d %7.0f->%-8.0f %6.0f/%-6.0f %6.0f/%-6.0f "
-                      "%4.0f->%-5.0f\n",
-                      label.c_str(), t.nodes, t.base_goodput,
-                      t.opt_goodput, t.base_ops_min, t.base_ops_max,
-                      t.opt_ops_min, t.opt_ops_max, t.base_timedout,
-                      t.opt_timedout);
+                      "  %-27s %5d %14.0f %6.0f/%-6.0f %9.0f\n",
+                      label.c_str(), t.nodes, t.goodput, t.ops_min,
+                      t.ops_max, t.timedout);
         out << buf;
       }
     }
@@ -384,8 +355,8 @@ std::string format_trend_diff(const TrendReport& before,
           .second = &t;
     }
     if (!merged.empty()) {
-      out << "\nScaling matrix (optimized mode, before -> after)\n";
-      std::snprintf(buf, sizeof buf, "  %-18s %5s %5s %20s %20s %18s %16s\n",
+      out << "\nScaling matrix (before -> after)\n";
+      std::snprintf(buf, sizeof buf, "  %-27s %5s %5s %20s %20s %18s %16s\n",
                     "workload", "nodes", "loss", "ops", "sched events",
                     "goodput ops/s", "events/wall-s");
       out << buf;
@@ -394,7 +365,7 @@ std::string format_trend_diff(const TrendReport& before,
         const std::string label =
             scale_label(workload, backoff, pool, segments);
         if (!ba.first || !ba.second) {
-          std::snprintf(buf, sizeof buf, "  %-18s %5d %4.0f%% %s\n",
+          std::snprintf(buf, sizeof buf, "  %-27s %5d %4.0f%% %s\n",
                         label.c_str(), nodes, loss * 100,
                         ba.second ? "[NEW]" : "[REMOVED]");
           out << buf;
@@ -403,26 +374,24 @@ std::string format_trend_diff(const TrendReport& before,
         const ScaleTrend& b = *ba.first;
         const ScaleTrend& a = *ba.second;
         const char* flag = "";
-        if (a.opt_ops < b.opt_ops || a.violations > b.violations ||
-            (b.opt_goodput > 0 && a.opt_goodput < b.opt_goodput * 0.95)) {
+        if (a.ops < b.ops || a.violations > b.violations ||
+            (b.goodput > 0 && a.goodput < b.goodput * 0.95)) {
           flag = "  [WORSE]";
         }
         // Wall-clock throughput is host- and load-dependent, so the gate
         // only fires on a >3x collapse — a real engine regression, not a
         // noisy neighbour on the CI box — and only for rows big enough
         // (>=100k events) that the wall time isn't startup noise.
-        if (flag[0] == '\0' && b.opt_events >= 100000 &&
-            b.opt_ev_wall > 0 && a.opt_ev_wall > 0 &&
-            a.opt_ev_wall * 3 < b.opt_ev_wall) {
+        if (flag[0] == '\0' && b.events >= 100000 && b.ev_wall > 0 &&
+            a.ev_wall > 0 && a.ev_wall * 3 < b.ev_wall) {
           flag = "  [WORSE]";
         }
         std::snprintf(buf, sizeof buf,
-                      "  %-18s %5d %4.0f%% %8.0f->%-8.0f %9.0f->%-9.0f "
+                      "  %-27s %5d %4.0f%% %8.0f->%-8.0f %9.0f->%-9.0f "
                       "%7.0f->%-7.0f %7.0f->%-7.0f%s\n",
-                      label.c_str(), nodes, loss * 100, b.opt_ops,
-                      a.opt_ops, b.opt_scheduled, a.opt_scheduled,
-                      b.opt_goodput, a.opt_goodput, b.opt_ev_wall,
-                      a.opt_ev_wall, flag);
+                      label.c_str(), nodes, loss * 100, b.ops, a.ops,
+                      b.scheduled, a.scheduled, b.goodput, a.goodput,
+                      b.ev_wall, a.ev_wall, flag);
         out << buf;
       }
     }

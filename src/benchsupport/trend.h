@@ -24,7 +24,7 @@ struct TrendRow {
   std::string str(const std::string& key) const;
 };
 
-/// Paired base/optimized scaling measurements for one (workload, nodes).
+/// One scaling configuration's measurements (a BENCH_scale.jsonl row).
 struct ScaleTrend {
   std::string workload;
   int nodes = 0;
@@ -40,31 +40,23 @@ struct ScaleTrend {
   // aggregation key so the internetwork tiers (doc/INTERNET.md) never
   // merge with the single-segment rows they're compared against.
   int segments = 1;
-  double opt_relayed = 0;  // gateway store-and-forward copies (segments > 1)
-  double base_events = 0, opt_events = 0;        // events executed
-  double base_scheduled = 0, opt_scheduled = 0;  // timer churn
-  double base_frames = 0, opt_frames = 0;
-  double opt_filtered = 0;  // broadcast deliveries the NIC filter skipped
-  double base_ops = 0, opt_ops = 0, ops_expected = 0;
+  double events = 0;     // events executed
+  double scheduled = 0;  // timer churn
+  double frames = 0;
+  double filtered = 0;  // broadcast deliveries the NIC filter skipped
+  double ops = 0, ops_expected = 0;
   // Overload columns (contention workload, doc/OVERLOAD.md): goodput in
-  // ops per simulated second, per-client min/max ops (fairness), retry-
-  // budget exhaustions, admission-control sheds.
-  double base_goodput = 0, opt_goodput = 0;
-  double base_ops_min = 0, opt_ops_min = 0;
-  double base_ops_max = 0, opt_ops_max = 0;
-  double base_timedout = 0, opt_timedout = 0;
-  double base_shed = 0, opt_shed = 0;
+  // ops per simulated second, per-client min/max ops (fairness) and
+  // retry-budget exhaustions.
+  double goodput = 0;
+  double ops_min = 0, ops_max = 0;
+  double timedout = 0;
   // Host-dependent engine-throughput columns (events / wall-second and
   // VmHWM). Informational in reports; the diff gate only flags a >3x
   // collapse so machine noise never fails CI.
-  double base_ev_wall = 0, opt_ev_wall = 0;
-  double opt_rss_kb = 0;
-  double violations = 0;  // summed over both modes — should stay 0
-
-  /// Percent reduction of `base` -> `opt` (0 when base is 0).
-  static double win(double base, double opt) {
-    return base > 0 ? 100.0 * (base - opt) / base : 0.0;
-  }
+  double ev_wall = 0;
+  double rss_kb = 0;
+  double violations = 0;  // summed over the configuration's rows: stays 0
 };
 
 struct TrendReport {

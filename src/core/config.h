@@ -53,28 +53,15 @@ struct NodeConfig {
   /// Values < 1 are clamped to 1.
   net::Tid initial_tid = 1;
 
-  /// --- admission control (overload shedding, doc/OVERLOAD.md) ---
-  /// Shed REQUEST offers with an early BUSY-NACK (before any section
-  /// processing) once the pending-accept backlog reaches this depth; the
-  /// NACK carries a shed hint the requester folds into its backoff floor.
-  /// 0 disables. The default never trips under the paper's workloads
-  /// (a serial handler keeps the backlog at 1-2).
-  std::size_t admit_backlog_watermark = 8;
-
-  /// Shed hint scale for the incoming-offer rate: when more than this
-  /// many REQUEST offers land within one admission window (eight busy
-  /// retry intervals, so the window tracks the timing preset), BUSY NACKs
-  /// start carrying a hint of offers/watermark (capped at 3). 0 disables.
-  int admit_offer_watermark = 48;
-
-  /// Load-adaptive admission (doc/OVERLOAD.md §3.2): derive the two
-  /// watermarks above from EWMAs of measured per-accept service time and
-  /// per-window offered load instead of using them as fixed constants.
-  /// Capacity per window C = window / ewma_service; the effective backlog
-  /// watermark is clamp(C, 2, 64) and the effective offer watermark is
-  /// clamp(2*C, 8, 512). The fixed values act as the pre-measurement
-  /// seed. Off by default: the constants are what the pinned trace hashes
-  /// were recorded under.
+  /// Load-adaptive admission (doc/OVERLOAD.md §3.2): derive the kernel's
+  /// two admission watermarks (kAdmitBacklogWatermark and
+  /// kAdmitOfferWatermark, src/core/kernel.cc) from EWMAs of measured
+  /// per-accept service time and per-window offered load instead of using
+  /// them as fixed constants. Capacity per window C = window /
+  /// ewma_service; the effective backlog watermark is clamp(C, 2, 64) and
+  /// the effective offer watermark is clamp(2*C, 8, 512). The fixed values
+  /// act as the pre-measurement seed. Off by default: the constants are
+  /// what the pinned trace hashes were recorded under.
   bool adaptive_admission = false;
 
   /// Model the NIC's pattern-address filter (§5.3): the station tells the

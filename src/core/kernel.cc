@@ -60,6 +60,26 @@ Frame accept_frame(Tid tid, std::int32_t arg, std::uint32_t put_n,
 using RE = lifecycle::RequesterEvent;
 using SE = lifecycle::ServerEvent;
 
+/// Admission control (doc/OVERLOAD.md §3): shed REQUEST offers with an
+/// early BUSY-NACK (before any section processing) once the pending-accept
+/// backlog reaches this depth. The NACK carries a shed hint the requester
+/// folds into its backoff floor. Never trips under the paper's workloads:
+/// a serial handler keeps the backlog at 1-2.
+constexpr std::size_t kAdmitBacklogWatermark = 8;
+/// Shed hint scale for the incoming-offer rate: when more than this many
+/// REQUEST offers land within one admission window (eight busy retry
+/// intervals, so the window tracks the timing preset), BUSY NACKs start
+/// carrying a hint of offers/watermark (capped at 3).
+constexpr int kAdmitOfferWatermark = 48;
+constexpr std::uint32_t kShedScoreCap = 1024;
+/// Anycast distance penalty (doc/INTERNET.md): a pool member seeded from
+/// a DISCOVER reply that crossed gateways starts with a shed score of
+/// hops * kAnycastHopBias, so the least-shed pick prefers same-segment
+/// members until local pressure outweighs the extra hops. Local replies
+/// arrive with hops == 0, so single-segment behaviour (and the pinned
+/// trace hashes) are untouched.
+constexpr std::uint32_t kAnycastHopBias = 4;
+
 }  // namespace
 
 Kernel::Kernel(sim::Simulator& sim, net::Bus& bus, Mid mid, NodeConfig config,
@@ -596,8 +616,7 @@ proto::DispositionResult Kernel::classify(const net::Frame& f) {
       return {proto::Disposition::kError, net::NackReason::kUnadvertised, tid};
     }
     const std::uint8_t hint = note_offer_pressure();
-    if (config_.admit_backlog_watermark > 0 &&
-        delivered_count_ >= effective_backlog_watermark()) {
+    if (delivered_count_ >= effective_backlog_watermark()) {
       // Admission control: the pending-accept backlog is past the
       // watermark, so shed this offer before any section processing and
       // tell the requester how hard to back off.
@@ -653,7 +672,6 @@ proto::DispositionResult Kernel::classify(const net::Frame& f) {
 }
 
 std::uint8_t Kernel::note_offer_pressure() {
-  if (config_.admit_offer_watermark <= 0) return 0;
   // The window is eight busy-retry intervals so it scales with the timing
   // preset (40 ms calibrated, 400 us fast) and with injected timer skew.
   const sim::Duration window = 8 * config_.timing.busy_retry_interval;
@@ -689,13 +707,13 @@ std::optional<sim::Duration> Kernel::window_capacity() const {
 
 std::size_t Kernel::effective_backlog_watermark() const {
   const auto capacity = window_capacity();
-  if (!capacity) return config_.admit_backlog_watermark;
+  if (!capacity) return kAdmitBacklogWatermark;
   return static_cast<std::size_t>(std::clamp<sim::Duration>(*capacity, 2, 64));
 }
 
 int Kernel::effective_offer_watermark() const {
   const auto capacity = window_capacity();
-  if (!capacity) return config_.admit_offer_watermark;
+  if (!capacity) return kAdmitOfferWatermark;
   return static_cast<int>(std::clamp<sim::Duration>(2 * *capacity, 8, 512));
 }
 
@@ -711,17 +729,6 @@ void Kernel::note_service_sample(sim::Duration d) {
 // scores. It never touches timers, the RNG, or the trace, so seeding it
 // cannot perturb trace hashes of workloads that never issue an anycast
 // request.
-
-namespace {
-constexpr std::uint32_t kShedScoreCap = 1024;
-/// Anycast distance penalty (doc/INTERNET.md): a pool member seeded from
-/// a DISCOVER reply that crossed gateways starts with a shed score of
-/// hops * kAnycastHopBias, so the least-shed pick prefers same-segment
-/// members until local pressure outweighs the extra hops. Local replies
-/// arrive with hops == 0, so single-segment behaviour (and the pinned
-/// trace hashes) are untouched.
-constexpr std::uint32_t kAnycastHopBias = 4;
-}  // namespace
 
 std::vector<Mid> Kernel::anycast_members(Pattern pattern) const {
   auto it = anycast_.find(pattern & kPatternMask);

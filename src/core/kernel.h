@@ -195,7 +195,7 @@ class Kernel {
   std::optional<Mid> anycast_pick(Pattern pattern);
 
  private:
-  /// Admission watermarks actually in force (fixed config values, or the
+  /// Admission watermarks actually in force (the fixed constants, or the
   /// EWMA-derived ones under config.adaptive_admission).
   std::size_t effective_backlog_watermark() const;
   int effective_offer_watermark() const;

@@ -154,9 +154,9 @@ class StoreClient final : public sodal::SodalClient {
 };
 
 /// Name-service storm: each client grows its own directory one binding at
-/// a time and LISTs it after every bind. The legacy flat table makes each
-/// LIST scan every binding on the server (quadratic in total ops); the
-/// indexed table touches only the client's own directory.
+/// a time and LISTs it after every bind. The indexed name table touches
+/// only the client's own directory; the flat table would scan every
+/// binding on the server (quadratic in total ops).
 class NameClient final : public sodal::SodalClient {
  public:
   NameClient(const HarnessOptions& o, Tally* tally) : o_(o), tally_(tally) {}
@@ -249,8 +249,7 @@ std::unique_ptr<Client> make_scale_client(const HarnessOptions& o, int mid,
       return std::make_unique<StoreClient>(o, tally);
     case Workload::kNameStorm:
       if (is_server) {
-        return std::make_unique<sodal::NameServer>(sodal::kNameServerPattern,
-                                                   o.optimized);
+        return std::make_unique<sodal::NameServer>();
       }
       return std::make_unique<NameClient>(o, tally);
   }
@@ -317,21 +316,12 @@ HarnessResult run_harness(const HarnessOptions& opts) {
       [&](Mid) {
         NodeConfig cfg;
         cfg.timing = TimingModel::fast();
-        cfg.timing.batched_timer_bookkeeping = o.optimized;
-        cfg.nic_pattern_filter = o.optimized;
-        // The overload-robustness pair rides the same before/after switch:
-        // base rows keep the 1984-faithful linear BUSY ramp with no
-        // shedding.
-        cfg.timing.adaptive_busy_backoff = o.optimized;
+        cfg.nic_pattern_filter = true;
         cfg.timing.exponential_retransmit_backoff = o.retransmit_backoff;
-        if (!o.optimized) {
-          cfg.admit_backlog_watermark = 0;
-          cfg.admit_offer_watermark = 0;
-        }
         // Pool runs measure the full anycast + load-adaptive stack;
         // non-pool rows keep the fixed watermarks their baselines were
         // recorded under.
-        cfg.adaptive_admission = o.pool_size > 0 && o.optimized;
+        cfg.adaptive_admission = o.pool_size > 0;
         return cfg;
       },
       [&](Mid mid) { return make_scale_client(o, mid, &tally); });

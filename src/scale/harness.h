@@ -6,11 +6,12 @@
 //
 // A harness run is a pure function of its options (same determinism
 // contract as soda::chaos): the invariant checkers ride along on the
-// trace stream, so the scaling bench doubles as a correctness sweep. The
-// `optimized` switch flips the three O(N) fixes this harness exposed —
-// NIC broadcast interest filtering (net::Bus), batched timer bookkeeping
-// (proto/core), and the indexed name-server table — so BENCH_scale.jsonl
-// carries honest before/after rows.
+// trace stream, so the scaling bench doubles as a correctness sweep.
+// Every node runs the three O(N) fixes this harness exposed — NIC
+// broadcast interest filtering (net::Bus), batched timer bookkeeping
+// (proto/core) and the indexed name-server table — plus adaptive BUSY
+// backoff and kernel admission control: one configuration, the one
+// perfbench's workloads reproduce event for event.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +27,7 @@ enum class Workload : std::uint8_t {
   kReplicatedStore,  // multicast SET + read-any against replicas
   kNameStorm,        // bind fan-out + directory LISTs at one name server
   kContention,       // every client hammers ONE slow server back-to-back:
-                     //   the 64-node overload case (doc/OVERLOAD.md). The
-                     //   `optimized` switch flips adaptive BUSY backoff +
-                     //   kernel admission control on/off.
+                     //   the 64-node overload case (doc/OVERLOAD.md).
 };
 
 const char* to_string(Workload w);
@@ -68,7 +67,6 @@ struct HarnessOptions {
   std::uint32_t payload = 64;
   double loss = 0.0;        // uniform frame-loss probability
   std::uint64_t seed = 1;
-  bool optimized = true;  // the three O(N) fixes on/off (before/after)
   /// Exponential retransmit backoff (TimingModel knob). Off by default —
   /// the fixed 1984 interval — so existing rows and pinned hashes stand;
   /// the 128/256-node tiers turn it on (the crash detector's constant

@@ -33,8 +33,9 @@ class NameServer : public SodalClient {
   /// `indexed` (the default) keeps bindings in a hash table with a
   /// refcounted per-directory child index, so exact operations are O(1)
   /// and LIST touches only the listed directory. `indexed = false` keeps
-  /// the original flat map whose LIST scans every binding — retained so
-  /// the scaling bench can measure the difference.
+  /// the original flat map whose LIST scans every binding: the reference
+  /// `NameService.FlatTableIsTheIndexReference` holds the index to. The
+  /// flag stays because perfbench passes it.
   explicit NameServer(Pattern pattern = kNameServerPattern,
                       bool indexed = true)
       : pattern_(pattern), indexed_(indexed) {}

@@ -113,6 +113,53 @@ TEST(NameService, RebindReplaces) {
   EXPECT_TRUE(d.done);
 }
 
+TEST(NameService, FlatTableIsTheIndexReference) {
+  // The flat table (indexed = false) derives each listing by scanning
+  // every binding; the indexed table keeps refcounted per-directory child
+  // sets. The same bind/rebind/unbind sequence must list the same
+  // children from both. Unbinding one of two bindings under a/b must keep
+  // "b" listed under "a" until the second goes too.
+  std::vector<std::vector<std::string>> listings[2];
+  for (const bool indexed : {false, true}) {
+    Network net;
+    net.spawn<NameServer>(NodeConfig{}, kNameServerPattern, indexed);
+    auto& out = listings[indexed ? 1 : 0];
+    auto& d = net.spawn<Driver>(NodeConfig{}, [&out](Driver& self)
+                                                  -> sim::Task {
+      const auto list_all = [&]() -> sim::Task {
+        for (const char* dir : {"/", "/a", "/a/b", "/f"}) {
+          auto names = co_await ns_list(self, ns_sig(), dir);
+          EXPECT_TRUE(names.ok());
+          out.push_back(names.value_or({}));
+        }
+      };
+      co_await ns_bind(self, ns_sig(), "/a/b/c", ServerSignature{1, 1});
+      co_await ns_bind(self, ns_sig(), "/a/b/d", ServerSignature{2, 2});
+      co_await ns_bind(self, ns_sig(), "/a/e", ServerSignature{3, 3});
+      co_await ns_bind(self, ns_sig(), "/f", ServerSignature{4, 4});
+      co_await ns_bind(self, ns_sig(), "/a/b/c", ServerSignature{5, 5});
+      co_await list_all();
+      co_await ns_unbind(self, ns_sig(), "/a/b/c");
+      co_await list_all();
+      co_await ns_unbind(self, ns_sig(), "/a/b/d");
+      co_await list_all();
+      co_await ns_unbind(self, ns_sig(), "/f");
+      co_await list_all();
+    });
+    net.run_for(60 * sim::kSecond);
+    net.check_clients();
+    EXPECT_TRUE(d.done) << "indexed=" << indexed;
+  }
+  EXPECT_EQ(listings[0], listings[1]);
+  using Names = std::vector<std::string>;
+  ASSERT_EQ(listings[1].size(), 16u);
+  EXPECT_EQ(listings[1][2], (Names{"c", "d"}));  // after the rebind
+  EXPECT_EQ(listings[1][5], (Names{"b", "e"}));  // a/b/d still binds b
+  EXPECT_EQ(listings[1][6], (Names{"d"}));
+  EXPECT_EQ(listings[1][9], (Names{"e"}));  // last binding under a/b gone
+  EXPECT_EQ(listings[1][12], (Names{"a"}));
+}
+
 TEST(NameService, PathNormalization) {
   Network net;
   net.spawn<NameServer>(NodeConfig{});

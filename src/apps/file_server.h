@@ -136,7 +136,6 @@ class FileServer : public sodal::SodalClient {
   }
 
   std::size_t opens() const { return opens_; }
-  std::size_t open_sessions() const { return sessions_.size(); }
 
  private:
   struct Session {

@@ -74,13 +74,7 @@ class RelayClient : public sodal::SodalClient {
     read_loop().detach();
     for (;;) {
       // WRITE loop: move buffered bytes into the device's output side.
-      while (queue_.is_empty()) {
-        if (reader_done_ && remote_producer_done_) {
-          done_ = true;
-          co_await park_forever();
-        }
-        co_await wait_on(drain_);
-      }
+      while (queue_.is_empty()) co_await wait_on(drain_);
       co_await delay(dev_.out_interval);
       dev_.received.push_back(queue_.dequeue());
       if (remote_stopped_ && queue_.is_empty()) {
@@ -89,9 +83,6 @@ class RelayClient : public sodal::SodalClient {
       }
     }
   }
-
-  /// Mark that the peer has no more bytes coming (test convenience).
-  void expect_no_more_remote() { remote_producer_done_ = true; }
 
   const Device& device() const { return dev_; }
   bool relay_finished() const { return reader_done_; }
@@ -122,9 +113,7 @@ class RelayClient : public sodal::SodalClient {
   Device dev_;
   sodal::Queue<std::byte> queue_;
   bool remote_stopped_ = false;
-  bool remote_producer_done_ = false;
   bool reader_done_ = false;
-  bool done_ = false;
   int seed_ = 0;
   sim::CondVar drain_;
   sim::CondVar produce_;

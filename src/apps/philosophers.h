@@ -95,7 +95,6 @@ class Philosopher : public sodal::SodalClient {
         // re-requests it: its completion is the re-grant (§4.4.3).
         my_request_ = signal(ServerSignature{left_, kReturnFork}, 0);
         left_fork_ = Fork::kHis;
-        ++give_backs_;
         bump();
       }
     } else if (a.invoked_pattern == kReturnFork) {
@@ -125,7 +124,6 @@ class Philosopher : public sodal::SodalClient {
   }
 
   int meals() const { return meals_; }
-  int give_backs() const { return give_backs_; }
   std::uint64_t version() const { return version_; }
 
  private:
@@ -168,7 +166,6 @@ class Philosopher : public sodal::SodalClient {
   sim::CondVar changed_;
   std::uint64_t version_ = 0;
   int meals_ = 0;
-  int give_backs_ = 0;
 };
 
 class DeadlockDetector : public sodal::SodalClient {

@@ -1,9 +1,10 @@
 // The run observer: the one fold every chaos-family driver applies to a
 // trace stream. run_scenario and the scale harness feed it live from the
 // simulator's trace; the fleet driver feeds it the workers' merged
-// streams; soda_soak feeds it a real-socket run. Each event updates the
-// trace hash, the invariant checkers and the request tallies, in that
-// order, so the same events give the same answers wherever they came from.
+// streams; tests/test_udp.cc feeds it an in-process real-socket run. Each
+// event updates the trace hash, the invariant checkers and the request
+// tallies, in that order, so the same events give the same answers
+// wherever they came from.
 #pragma once
 
 #include <array>

@@ -51,7 +51,6 @@ class Client {
   void start(Mid parent);
   void invoke_handler(const HandlerArgs& args);
   void drain_deferred();
-  bool in_handler() const { return in_handler_; }
   void mark_dead() { *alive_ = false; }
 
   /// First exception that escaped client code, if any (tests assert none).

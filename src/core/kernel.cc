@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "core/node.h"
+
 namespace soda {
 
 using net::Frame;
@@ -83,13 +85,13 @@ constexpr std::uint32_t kAnycastHopBias = 4;
 }  // namespace
 
 Kernel::Kernel(sim::Simulator& sim, net::Bus& bus, Mid mid, NodeConfig config,
-               UniqueIdSource& uids, NodeCpu& cpu, KernelHost& host)
+               UniqueIdSource& uids, NodeCpu& cpu, Node& node)
     : sim_(sim),
       config_(std::move(config)),
       mid_(mid),
       uids_(uids),
       cpu_(cpu),
-      host_(host),
+      node_(node),
       metrics_(sim.metrics().node(mid)),
       transport_(
           sim, bus, mid, config_.timing, cpu,
@@ -168,7 +170,7 @@ bool Kernel::pattern_bound(Pattern p) const {
 
 bool Kernel::matches_discover(Pattern p) const {
   p &= kPatternMask;
-  return (host_.has_client() && pattern_bound(p)) || reserved_bound(p);
+  return (node_.has_client() && pattern_bound(p)) || reserved_bound(p);
 }
 
 Pattern Kernel::get_unique_id() {
@@ -479,24 +481,24 @@ void Kernel::endhandler() {
   }
   try_dispatch();
   release_held_frame();
-  if (!handler_busy_) host_.drain_client_deferred();
+  if (!handler_busy_) node_.drain_client_deferred();
 }
 
 bool Kernel::handler_available_for_arrival() const {
   // "As long as queued completion interrupts are present, the handler is
   // considered BUSY" for arrivals (§3.7.5).
-  return host_.has_client() && handler_open_ && !handler_busy_ &&
+  return node_.has_client() && handler_open_ && !handler_busy_ &&
          completions_.empty();
 }
 
 void Kernel::post_completion(HandlerArgs args) {
-  if (!host_.has_client()) return;
+  if (!node_.has_client()) return;
   completions_.push_back(args);
   try_dispatch();
 }
 
 void Kernel::try_dispatch() {
-  if (!host_.has_client()) {
+  if (!node_.has_client()) {
     completions_.clear();
     return;
   }
@@ -511,13 +513,13 @@ void Kernel::run_handler(const HandlerArgs& args, sim::TraceStatus ts) {
   cpu_.run(config_.timing.context_switch, CostCategory::kContextSwitch,
            [this, args, ts, epoch = death_epoch_]() {
              if (epoch != death_epoch_) return;
-             if (!host_.has_client()) {
+             if (!node_.has_client()) {
                handler_busy_ = false;
                return;
              }
              metrics_.add(stats::Counter::kHandlerInvocations);
              trace_op(TraceCategory::kHandlerInvoked, -1, kNoTid, ts);
-             host_.invoke_handler(args);
+             node_.invoke_handler(args);
            });
 }
 
@@ -564,11 +566,13 @@ void Kernel::die() {
 
 void Kernel::crash() { reset_for_death(/*client_initiated=*/false); }
 
+bool Kernel::client_dead() const { return !node_.has_client(); }
+
 void Kernel::reset_for_death(bool client_initiated) {
   trace_op(TraceCategory::kBoot, -1, kNoTid,
            client_initiated ? sim::TraceStatus::kDie
                             : sim::TraceStatus::kKilled);
-  host_.kill_client();
+  node_.kill_client();
   client_patterns_.clear();
   indexed_used_.fill(false);
   for (auto& [tid, p] : pending_) stop_probing(p);
@@ -612,7 +616,7 @@ proto::DispositionResult Kernel::classify(const net::Frame& f) {
       }
       return {proto::Disposition::kDeliver, {}, kNoTid};
     }
-    if (!host_.has_client() || !pattern_bound(p)) {
+    if (!node_.has_client() || !pattern_bound(p)) {
       return {proto::Disposition::kError, net::NackReason::kUnadvertised, tid};
     }
     const std::uint8_t hint = note_offer_pressure();
@@ -1187,7 +1191,7 @@ bool Kernel::reserved_bound(Pattern p) const {
   if (load_pattern_ != 0 && p == load_pattern_) return true;
   // Boot patterns are advertised only while the node is clientless and not
   // already being loaded (§3.5.2-§3.5.3).
-  return boot_patterns_.count(p) && !host_.has_client() && load_pattern_ == 0;
+  return boot_patterns_.count(p) && !node_.has_client() && load_pattern_ == 0;
 }
 
 void Kernel::respond_kernel_accept(const net::Frame& f, std::int32_t arg,
@@ -1219,7 +1223,7 @@ void Kernel::arm_load_deadline() {
   sim_.after(grace, [this, started = load_started_at_,
                      epoch = death_epoch_]() {
     if (epoch != death_epoch_) return;
-    if (load_pattern_ == 0 || host_.has_client()) return;
+    if (load_pattern_ == 0 || node_.has_client()) return;
     if (load_started_at_ != started) return;  // a later step re-armed it
     trace_op(TraceCategory::kBoot, -1, kNoTid,
              sim::TraceStatus::kLoadAbandoned);
@@ -1233,7 +1237,7 @@ void Kernel::serve_reserved(const net::Frame& f) {
   const Pattern p = f.request->pattern & kPatternMask;
   const auto& rq = *f.request;
 
-  if (boot_patterns_.count(p) && !host_.has_client() && load_pattern_ == 0) {
+  if (boot_patterns_.count(p) && !node_.has_client() && load_pattern_ == 0) {
     // GET <MID, BOOT_PATTERN>: allocate a LOAD pattern and return it
     // (§3.5.2). Boot patterns stop matching until the client dies.
     load_pattern_ = (uids_.next(mid_) | kReservedBit) &
@@ -1273,7 +1277,7 @@ void Kernel::serve_reserved(const net::Frame& f) {
     // SIGNAL <MID, LOAD_PATTERN>: first = start the client; second = the
     // parent kills it (§3.5.2).
     respond_kernel_accept(f, 0, {});
-    if (!host_.has_client()) {
+    if (!node_.has_client()) {
       ++boots_;
       metrics_.add(stats::Counter::kBoots);
       trace_op(TraceCategory::kBoot, f.src, kNoTid, sim::TraceStatus::kBooting);
@@ -1281,7 +1285,7 @@ void Kernel::serve_reserved(const net::Frame& f) {
       const Mid parent = f.src;
       sim_.after(0, [this, image, parent, epoch = death_epoch_]() {
         if (epoch != death_epoch_) return;
-        host_.boot_client(image, parent);
+        node_.boot_client(image, parent);
       });
     } else {
       die_after_response();
@@ -1292,7 +1296,7 @@ void Kernel::serve_reserved(const net::Frame& f) {
   if (p == kill_pattern_) {
     // SIGNAL <MID, KILL_PATTERN>: unconditional death (§3.5.3).
     respond_kernel_accept(f, 0, {});
-    if (host_.has_client() || load_pattern_ != 0) {
+    if (node_.has_client() || load_pattern_ != 0) {
       die_after_response();
     }
     return;

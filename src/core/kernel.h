@@ -2,8 +2,8 @@
 // process control, and crash semantics, layered on the reliable transport.
 //
 // One Kernel instance models the node's SODA (co)processor. The attached
-// client calls the primitive methods; the KernelHost interface (implemented
-// by Node) lets the kernel start, interrupt and kill the client program.
+// client calls the primitive methods; the kernel starts, interrupts and
+// kills the client program through the Node that hosts it.
 #pragma once
 
 #include <array>
@@ -24,21 +24,7 @@
 
 namespace soda {
 
-/// Services the kernel needs from the node hosting it.
-class KernelHost {
- public:
-  virtual ~KernelHost() = default;
-  /// Load and start a client from a core image (invokes its boot handler).
-  virtual void boot_client(const Bytes& core_image, Mid parent) = 0;
-  /// Destroy the running client (kill / DIE).
-  virtual void kill_client() = 0;
-  virtual bool has_client() const = 0;
-  /// Run the client handler (the kernel has already charged the context
-  /// switch and marked the handler BUSY).
-  virtual void invoke_handler(const HandlerArgs& args) = 0;
-  /// Resume client-task continuations deferred while the handler ran.
-  virtual void drain_client_deferred() = 0;
-};
+class Node;
 
 class Kernel {
  public:
@@ -55,7 +41,7 @@ class Kernel {
   static constexpr std::int32_t kSystemReplaceKill = 3;
 
   Kernel(sim::Simulator& sim, net::Bus& bus, Mid mid, NodeConfig config,
-         UniqueIdSource& uids, NodeCpu& cpu, KernelHost& host);
+         UniqueIdSource& uids, NodeCpu& cpu, Node& node);
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -102,10 +88,6 @@ class Kernel {
                                   Bytes* into) {
       return {ServerSignature{net::kBroadcastMid, pattern}, 0, {}, get_size,
               into};
-    }
-    RequestParams& with_arg(std::int32_t a) {
-      arg = a;
-      return *this;
     }
   };
   std::optional<Tid> request(RequestParams params);
@@ -172,7 +154,7 @@ class Kernel {
   void crash();
 
   bool handler_open() const { return handler_open_; }
-  bool client_dead() const { return !host_.has_client(); }
+  bool client_dead() const;
 
   /// Number of uncompleted requests (so SODAL can obey MAXREQUESTS).
   int live_requests() const { return static_cast<int>(pending_.size()); }
@@ -335,7 +317,7 @@ class Kernel {
   Mid mid_;
   UniqueIdSource& uids_;
   NodeCpu& cpu_;
-  KernelHost& host_;
+  Node& node_;  // the node hosting this kernel and its client
   stats::MetricsRegistry& metrics_;  // this node's registry
   proto::Transport transport_;
 

@@ -17,7 +17,7 @@ namespace soda {
 /// registered factory (see DESIGN.md on this substitution).
 using ProgramFactory = std::function<std::unique_ptr<Client>()>;
 
-class Node final : public KernelHost {
+class Node final {
  public:
   Node(sim::Simulator& sim, net::Bus& bus, Mid mid, NodeConfig config,
        UniqueIdSource& uids)
@@ -64,8 +64,9 @@ class Node final : public KernelHost {
   /// cross-partition lookahead violations.
   int partition() const { return partition_; }
 
-  // ---- KernelHost ----
-  void boot_client(const Bytes& image, Mid parent) override {
+  // ---- Called by the kernel ----
+  /// Load and start a client from a core image (invokes its boot handler).
+  void boot_client(const Bytes& image, Mid parent) {
     std::string name(image.size(), '\0');
     for (std::size_t i = 0; i < image.size(); ++i) {
       name[i] = static_cast<char>(std::to_integer<unsigned char>(image[i]));
@@ -80,7 +81,8 @@ class Node final : public KernelHost {
     install_client(it->second(), parent);
   }
 
-  void kill_client() override {
+  /// Destroy the running client (kill / DIE).
+  void kill_client() {
     if (!client_) return;
     client_->mark_dead();
     // The dead program's memory persists on the node (its core image is
@@ -91,13 +93,16 @@ class Node final : public KernelHost {
     client_.reset();
   }
 
-  bool has_client() const override { return client_ != nullptr; }
+  bool has_client() const { return client_ != nullptr; }
 
-  void invoke_handler(const HandlerArgs& args) override {
+  /// Run the client handler (the kernel has already charged the context
+  /// switch and marked the handler BUSY).
+  void invoke_handler(const HandlerArgs& args) {
     if (client_) client_->invoke_handler(args);
   }
 
-  void drain_client_deferred() override {
+  /// Resume client-task continuations deferred while the handler ran.
+  void drain_client_deferred() {
     if (client_) client_->drain_deferred();
   }
 

@@ -140,8 +140,6 @@ class Gateway {
   std::size_t ttl_drops() const { return ttl_drops_; }
   std::size_t overflow_drops() const { return overflow_drops_; }
   std::size_t no_route_drops() const { return no_route_drops_; }
-  std::size_t self_echoes() const { return self_echoes_; }
-  std::size_t filtered_drops() const { return filtered_drops_; }
   std::size_t coalesced() const { return coalesced_; }
   /// Unknown-MID unicasts steered by a learned pattern route instead of
   /// being flooded to every other segment (doc/INTERNET.md §2).
@@ -201,8 +199,6 @@ class Gateway {
   std::size_t ttl_drops_ = 0;
   std::size_t overflow_drops_ = 0;
   std::size_t no_route_drops_ = 0;
-  std::size_t self_echoes_ = 0;
-  std::size_t filtered_drops_ = 0;
   std::size_t coalesced_ = 0;
   std::size_t pattern_forwards_ = 0;
 };

@@ -120,8 +120,6 @@ class Internet {
     return g;
   }
 
-  bool has_node(Mid mid) const { return node_index_.count(mid) > 0; }
-
   Node& node(Mid mid) {
     auto it = node_index_.find(mid);
     if (it == node_index_.end()) throw std::out_of_range("no such node");

@@ -200,14 +200,6 @@ class FramePool {
     return FrameRef(core_, idx);
   }
 
-  /// Nodes ever created (slab high-water mark) — bench/telemetry hook.
-  std::size_t slab_nodes() const {
-    core_->lock();
-    const std::size_t n = core_->size;
-    core_->unlock();
-    return n;
-  }
-
  private:
   detail::FramePoolCore* core_;
 };

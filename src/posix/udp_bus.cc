@@ -12,6 +12,12 @@
 
 namespace soda::posix {
 
+namespace {
+
+constexpr int kRcvbufBytes = 1 << 20;  // SO_RCVBUF asked for each station
+
+}  // namespace
+
 UdpBus::UdpBus(sim::Simulator& sim) : net::Bus(sim, net::BusConfig{}) {}
 
 UdpBus::~UdpBus() {
@@ -27,15 +33,8 @@ bool UdpBus::open_station(net::Mid mid) {
   // at high speedups one pump() gap can see a burst of hundreds of
   // datagrams. An explicit request makes overflow loss a measured,
   // reproducible property instead of a silent per-machine variable.
-  if (rcvbuf_bytes_ > 0) {
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes_,
-                       sizeof(rcvbuf_bytes_));
-    int granted = 0;
-    socklen_t glen = sizeof(granted);
-    if (::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &granted, &glen) == 0) {
-      rcvbuf_effective_ = granted;
-    }
-  }
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kRcvbufBytes,
+                     sizeof(kRcvbufBytes));
   // Bind to an ephemeral loopback port; record what we got.
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -11,7 +11,7 @@
 // expiry, probes — run in real time.
 //
 // Two deployment shapes share this class:
-//   - in-process (soda_soak, tests): open_station() once per MID, all
+//   - in-process (tests): open_station() once per MID, all
 //     kernels in one process, datagrams loop back between the stations;
 //   - fleet (src/fleet): ONE local station (this process's node) plus a
 //     peer map of MID -> UDP port for every other worker process, kept
@@ -79,14 +79,6 @@ class UdpBus final : public net::Bus {
   /// as lost on the wire and retransmission recovers it.
   std::size_t send_drops() const { return send_drops_; }
 
-  /// Receive-buffer size requested for every subsequently opened station
-  /// (SO_RCVBUF). Default 1 MiB: at high speedups one pump() gap can see
-  /// hundreds of datagrams, and an explicit size makes burst loss show up
-  /// in send_drops()/retransmits instead of silently varying per host.
-  void set_rcvbuf_bytes(int bytes) { rcvbuf_bytes_ = bytes; }
-  /// SO_RCVBUF the OS actually granted for the most recent station.
-  int rcvbuf_effective() const { return rcvbuf_effective_; }
-
  private:
   struct Station {
     int fd = -1;
@@ -101,13 +93,12 @@ class UdpBus final : public net::Bus {
   std::size_t datagrams_out_ = 0;
   std::size_t decode_failures_ = 0;
   std::size_t send_drops_ = 0;
-  int rcvbuf_bytes_ = 1 << 20;
-  int rcvbuf_effective_ = 0;
 };
 
 /// Drives a Simulator against the wall clock while pumping a UdpBus: the
-/// one wall-clock cadence of the real medium (soda_soak, the fleet worker
-/// and the fleet driver's boot-parent node all advance through it).
+/// one wall-clock cadence of the real medium (the in-process UdpNetwork,
+/// the fleet worker and the fleet driver's boot-parent node all advance
+/// through it).
 class RealtimeRunner {
  public:
   /// speedup: how many simulated microseconds pass per wall microsecond

@@ -217,9 +217,6 @@ class EventQueue {
   /// heap allocation). Zero across the protocol stack; benches assert it.
   std::uint64_t sbo_spill_total() const { return sbo_spills_; }
 
-  /// Slab high-water mark in cells (for memory reporting).
-  std::size_t slab_cells() const { return cells_.size(); }
-
   /// Earliest pending event time; only valid when !empty().
   Time next_time() {
     const bool ok = prepare();

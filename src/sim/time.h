@@ -22,9 +22,4 @@ constexpr Duration kSecond = 1000 * kMillisecond;
 /// Convert a duration to fractional milliseconds (for reporting only).
 constexpr double to_ms(Duration d) { return static_cast<double>(d) / 1000.0; }
 
-/// Convert fractional milliseconds to a duration (rounding to nearest us).
-constexpr Duration from_ms(double ms) {
-  return static_cast<Duration>(ms * 1000.0 + (ms >= 0 ? 0.5 : -0.5));
-}
-
 }  // namespace soda::sim

@@ -248,17 +248,6 @@ class CspProcess : public SodalClient {
 
   std::size_t rendezvous_count() const { return rendezvous_; }
 
-  /// Diagnostics (tools/tests): current Bernstein state and queue depth.
-  const char* debug_state() const {
-    switch (state_) {
-      case State::kActive: return "ACTIVE";
-      case State::kQuerying: return "QUERYING";
-      case State::kWaiting: return "WAITING";
-    }
-    return "?";
-  }
-  std::size_t debug_delayed() const { return delayed_.size(); }
-
  private:
   enum class State { kActive, kQuerying, kWaiting };
 

@@ -109,8 +109,6 @@ class ProcessHost : public SodalClient {
     return ref;
   }
 
-  std::size_t process_count() const { return processes_.size(); }
-
   sim::Task on_boot(Mid) override {
     booted_ = true;
     for (auto& p : processes_) {

@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "chaos/observer.h"
+#include "chaos/workload.h"
 #include "net/wire.h"
 #include "posix/udp_network.h"
 #include "sodal/sodal.h"
@@ -161,6 +163,53 @@ TEST(Udp, SurvivesInjectedDatagramLoss) {
   EXPECT_EQ(lost_events, net->bus().frames_lost());
   EXPECT_EQ(net->sim().metrics().total(stats::Counter::kFramesDropped),
             net->bus().frames_lost());
+}
+
+// The chaos workload on five stations sharing one in-process UdpBus, with
+// 5% of datagrams dropped on top of loopback, the invariant checkers riding
+// the trace. Speedup 10 keeps a 20 ms scheduler stall (a busy host running
+// tests in parallel) at 200 ms simulated, inside the ~237 ms Delta-t record
+// lifetime, so a stall alone cannot expire a record and let a retransmitted
+// request be delivered twice.
+TEST(Udp, ChaosWorkloadKeepsInvariants) {
+  constexpr double kSpeedup = 10.0;
+  constexpr sim::Duration kBudget = 10 * sim::kSecond;  // 1 s of wall time
+  chaos::Scenario s;
+  s.nodes = 5;
+  s.servers = 1;
+  s.duration = kBudget * 6 / 10;  // load
+  s.drain = kBudget * 4 / 10;     // in-flight requests resolve
+  s.request_interval = 60 * sim::kMillisecond;
+  s.payload = 64;
+  s.accept_delay = 2 * sim::kMillisecond;
+
+  std::unique_ptr<UdpNetwork> net;
+  chaos::RunObserver observer;
+  try {
+    net = std::make_unique<UdpNetwork>(6, kSpeedup);
+    net->sim().trace().enable_all();
+    net->sim().trace().set_store(false);
+    observer.observe(net->sim().trace());
+    net->bus().set_loss_probability(0.05);
+    net->spawn<chaos::EchoServer>(NodeConfig{}, s);
+    for (int mid = 1; mid < s.nodes; ++mid) {
+      net->spawn<chaos::LoadClient>(NodeConfig{}, s);
+    }
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "UDP sockets unavailable";
+  }
+  const sim::Time end = s.end_time();
+  const bool finished =
+      net->run_until([&] { return net->sim().now() >= end; },
+                     std::chrono::milliseconds(10000));
+  net->check_clients();
+  observer.finish(net->sim().now());
+  ASSERT_TRUE(finished) << "real-time run did not reach its end";
+  for (const auto& v : observer.violations()) {
+    ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
+  }
+  EXPECT_GT(observer.stats().ok_completions, 0u);
+  EXPECT_GT(net->bus().frames_lost(), 0u);
 }
 
 // Raw malformed datagrams aimed straight at a station's socket: the wire

@@ -212,19 +212,12 @@ void Gateway::relay(std::size_t from_idx, std::size_t target_idx,
 
 void Gateway::enqueue(std::size_t target_idx, const net::Frame& f) {
   Port& port = ports_[target_idx];
-  net::Frame copy = f;
-  copy.hops = static_cast<std::uint8_t>(f.hops + 1);
-  copy.relay_src = mid_;
-  // Coalesce: hash the exact wire image (what encode_frame would emit) so
-  // a retransmit of a frame still waiting in this queue — byte-identical
-  // by Delta-t's definition of a retransmission — is recognized and not
-  // queued twice.
-  const auto bytes = net::encode_frame(copy);
-  std::uint64_t key = 1469598103934665603ull;
-  for (std::uint8_t b : bytes) {
-    key ^= b;
-    key *= 1099511628211ull;
-  }
+  const auto hops = static_cast<std::uint8_t>(f.hops + 1);
+  // Coalesce: hash the exact wire image of the relayed frame (what
+  // encode_frame would emit) so a retransmit of a frame still waiting in
+  // this queue — byte-identical by Delta-t's definition of a
+  // retransmission — is recognized and not queued twice.
+  const std::uint64_t key = net::wire_hash(f, hops, mid_);
   auto count = port.queued_count.find(key);
   if (count != port.queued_count.end() && count->second > 0) {
     ++coalesced_;
@@ -235,6 +228,9 @@ void Gateway::enqueue(std::size_t target_idx, const net::Frame& f) {
     trace_relay(f, sim::TraceStatus::kQueueOverflow, port.segment_id);
     return;
   }
+  net::Frame copy = f;
+  copy.hops = hops;
+  copy.relay_src = mid_;
   port.queue.push_back(port.bus->pool().make(std::move(copy)));
   port.keys.push_back(key);
   ++port.queued_count[key];
@@ -260,13 +256,13 @@ void Gateway::pump(std::size_t target_idx) {
       config_.relay_latency +
       static_cast<sim::Duration>(f->wire_size()) * port.bus->config().us_per_byte;
   const std::uint64_t gen = gen_;
-  sim_.after(hold, [this, target_idx, gen, f = std::move(f)]() {
+  sim_.after(hold, [this, target_idx, gen, f = std::move(f)]() mutable {
     if (gen != gen_) return;  // gateway crashed while the frame was held
     Port& p = ports_[target_idx];
     p.busy = false;
     ++forwarded_;
     trace_relay(*f, sim::TraceStatus::kForwarded, p.segment_id);
-    p.bus->send_ref(f);
+    p.bus->send_ref(std::move(f));
     pump(target_idx);
   });
 }

@@ -72,10 +72,11 @@ struct BusConfig {
   }
 };
 
-/// Receiver callback installed by a NIC. The station shares the pooled
-/// frame and may retain the ref past the callback (e.g. into a deferred
-/// CPU work item) without copying the frame.
-using FrameRefSink = std::function<void(const FrameRef&)>;
+/// Receiver callback installed by a NIC. The station is handed its own
+/// ref to the pooled frame — moved in, so the station is its sole owner
+/// unless the frame really has several receivers — and may keep it past
+/// the callback (e.g. moved into a deferred CPU work item).
+using FrameRefSink = std::function<void(FrameRef)>;
 
 /// Deterministic loss predicate: return true to drop this (frame, receiver)
 /// delivery. When installed it replaces the random loss draw entirely.
@@ -154,21 +155,26 @@ class Bus {
     }
     const bool partitioned = sim_.partitioned();
 
-    auto launch = [&](Mid mid) {
+    // Each receiver's delivery takes `ref`: a copy per broadcast
+    // receiver, the sender's own ref for a unicast frame.
+    auto launch = [&](Mid mid, FrameRef ref) {
       if (partitioned) {
-        schedule_arrival(mid, fref, wire);
+        schedule_arrival(mid, std::move(ref), wire);
         return;
       }
       // Legacy (epoch-1) send-side path: the draws come from the single
       // shared stream at send time, and every delivery goes through the
       // wheel. Unpartitioned sims stay bit-identical to pre-epoch-2 builds.
-      const std::optional<Faults> fx = draw_faults(frame, mid);
+      const std::optional<Faults> fx = draw_faults(*ref, mid);
       if (!fx) return;
-      schedule_delivery(mid, fref, wire + fx->delay, false, fx->damaged);
-      if (fx->duplicated) {
-        schedule_delivery(mid, fref, wire + fx->delay + fx->dup_lag, true,
+      if (!fx->duplicated) {
+        schedule_delivery(mid, std::move(ref), wire + fx->delay, false,
                           fx->damaged);
+        return;
       }
+      schedule_delivery(mid, ref, wire + fx->delay, false, fx->damaged);
+      schedule_delivery(mid, std::move(ref), wire + fx->delay + fx->dup_lag,
+                        true, fx->damaged);
     };
 
     if (frame.dst == kBroadcastMid) {
@@ -178,10 +184,10 @@ class Bus {
           frames_filtered_.fetch_add(1, std::memory_order_relaxed);
           continue;  // NIC hardware filter: frame never reaches the kernel
         }
-        launch(mid);
+        launch(mid, fref);
       }
     } else {
-      launch(frame.dst);
+      launch(frame.dst, std::move(fref));
     }
   }
 
@@ -269,29 +275,13 @@ class Bus {
   FramePool& pool() { return pool_; }
 
  protected:
-  /// For subclasses delivering frames that arrived from elsewhere.
-  void deliver_to_station(const FrameRef& f) {
-    if (f->dst == kBroadcastMid) {
-      for (const auto& [mid, station] : stations_) {
-        if (mid == f->src) continue;
-        if (station.interest && !station.interest(*f)) {
-          frames_filtered_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        station.sink(f);
-      }
-      return;
-    }
-    auto it = stations_.find(f->dst);
-    if (it != stations_.end()) it->second.sink(f);
-  }
-
-  /// Deliver a frame to one specific station's sink, leaving the frame's
-  /// own dst untouched (a per-station broadcast datagram keeps its
-  /// broadcast address so kernels can recognise DISCOVER queries).
-  void deliver_to_one(Mid station, const FrameRef& f) {
+  /// For subclasses delivering frames that arrived from elsewhere: hand
+  /// `f` to one specific station's sink, leaving the frame's own dst
+  /// untouched (a per-station broadcast datagram keeps its broadcast
+  /// address so kernels can recognise DISCOVER queries).
+  void deliver_to_one(Mid station, FrameRef f) {
     auto it = stations_.find(station);
-    if (it != stations_.end()) it->second.sink(f);
+    if (it != stations_.end()) it->second.sink(std::move(f));
   }
 
   sim::Simulator& simulator() { return sim_; }
@@ -362,9 +352,11 @@ class Bus {
   /// concurrently. The wire time is at least the bus propagation, which
   /// bounds the partitioned engine's lookahead — cross-partition traffic
   /// never schedules inside the current window.
-  void schedule_arrival(Mid mid, const FrameRef& fref, sim::Duration wire) {
+  void schedule_arrival(Mid mid, FrameRef f, sim::Duration wire) {
     sim::ScopedPartition guard(sim_, delivery_partition(mid));
-    sim_.after(wire, [this, mid, f = fref]() { on_arrival(mid, f); });
+    sim_.after(wire, [this, mid, f = std::move(f)]() mutable {
+      on_arrival(mid, std::move(f));
+    });
   }
 
   /// One delivery's fault draws (see draw_faults).
@@ -408,54 +400,55 @@ class Bus {
   /// Runs at +wire in the receiver's partition: take the fault draws from
   /// the receiver's stream at arrival time, then deliver inline or after
   /// the extra fault latency.
-  void on_arrival(Mid mid, const FrameRef& f) {
+  void on_arrival(Mid mid, FrameRef f) {
     const std::optional<Faults> fx = draw_faults(*f, mid);
     if (!fx) return;
-    const bool damaged = fx->damaged;
-    if (fx->delay == 0) {
-      finish_delivery(mid, f, false, damaged);
-    } else {
-      sim_.after(fx->delay, [this, mid, damaged, f]() {
-        finish_delivery(mid, f, false, damaged);
-      });
+    if (!fx->duplicated) {
+      arrive(mid, std::move(f), fx->delay, false, fx->damaged);
+      return;
     }
-    if (fx->duplicated) {
-      const sim::Duration lag = fx->delay + fx->dup_lag;
-      if (lag == 0) {
-        finish_delivery(mid, f, true, damaged);
-      } else {
-        sim_.after(lag, [this, mid, damaged, f]() {
-          finish_delivery(mid, f, true, damaged);
-        });
-      }
+    arrive(mid, f, fx->delay, false, fx->damaged);
+    arrive(mid, std::move(f), fx->delay + fx->dup_lag, true, fx->damaged);
+  }
+
+  /// Epoch-2 arrival: deliver inline when no fault latency is left.
+  void arrive(Mid mid, FrameRef f, sim::Duration delay, bool duplicate,
+              bool damaged) {
+    if (delay == 0) {
+      finish_delivery(mid, std::move(f), duplicate, damaged);
+    } else {
+      schedule_delivery(mid, std::move(f), delay, duplicate, damaged);
     }
   }
 
   /// Hand `f` to station `mid` after `delay`; CRC-discard corrupted
   /// deliveries (`damaged` is per-delivery — the shared frame is immutable).
-  /// Legacy (unpartitioned, epoch-1) path only.
   void schedule_delivery(Mid mid, FrameRef f, sim::Duration delay,
                          bool duplicate, bool damaged) {
-    sim_.after(delay, [this, mid, duplicate, damaged, f = std::move(f)]() {
-      finish_delivery(mid, f, duplicate, damaged);
-    });
+    sim_.after(delay,
+               [this, mid, duplicate, damaged, f = std::move(f)]() mutable {
+                 finish_delivery(mid, std::move(f), duplicate, damaged);
+               });
   }
 
   /// Terminal delivery step, shared by both epochs. A delivery whose
   /// station is absent (powered off, or on another segment) goes to the
   /// relay taps instead, if any are registered.
-  void finish_delivery(Mid mid, const FrameRef& f, bool duplicate,
-                       bool damaged) {
+  void finish_delivery(Mid mid, FrameRef f, bool duplicate, bool damaged) {
     auto it = stations_.find(mid);
     if (it == stations_.end()) {
       // No station here. Historically the frame just vanished; with
       // relay taps registered it is the gateways' to forward — unless
-      // the CRC check would have discarded it anyway.
+      // the CRC check would have discarded it anyway. Every tap but the
+      // sender's own gets the frame; the last of them takes this ref.
       if (!damaged) {
+        const Tap* last = nullptr;
         for (const auto& tap : taps_) {
           if (tap.mid == f->src) continue;
-          tap.sink(f);
+          if (last != nullptr) last->sink(f);
+          last = &tap;
         }
+        if (last != nullptr) last->sink(std::move(f));
       }
       return;
     }
@@ -475,7 +468,7 @@ class Bus {
     sim_.trace().record(sim_.now(), sim::TraceCategory::kPacketReceived, mid,
                         stamp(payload));
     if (auto* m = it->second.metrics) m->add(stats::Counter::kFramesReceived);
-    it->second.sink(f);
+    it->second.sink(std::move(f));
   }
 
   sim::Simulator& sim_;

@@ -11,18 +11,30 @@
 // filters; a future mutating filter would copy the frame into a fresh
 // pooled node (CoW) rather than touch the shared one.
 //
+// A ref is moved, not copied, along a frame's path wherever there is one
+// next owner: the sender's CPU completion moves it into Bus::send_ref, the
+// bus moves it into the delivery event and on to the receiver's sink
+// (FrameRefSink takes it by value), and the transport moves it into its
+// deferred protocol work. A copy is made only where two owners really
+// exist: one per broadcast receiver, for a duplicated delivery, and for
+// every relay tap but the last. A unicast frame on a fault-free bus so
+// reaches its receiver as the sole owner (use_count() == 1).
+//
 // Lifetime: delivery events legitimately outlive the Bus (core::Network
 // tears the bus down while the simulator still holds scheduled events
 // whose closures own FrameRefs). The pool's core is therefore heap-
-// allocated and reference-counted by the pool handle plus every live
-// FrameRef; whichever dies last frees it.
+// allocated and reference-counted: `owners` counts the pool handle plus
+// every live node (one with refs > 0), not every ref. A node joins when
+// make() hands out its first ref and leaves when its last ref drops, so
+// copying or dropping a ref that is not the last touches only the node's
+// own count. Whichever owner dies last frees the core.
 //
 // Thread model (epoch 2): refs to one frame are created and dropped from
 // different partition workers inside a concurrent execution window, so
-// refcounts and the owner count are atomics, and the free list / slab
-// growth sit behind a tiny spinlock. The slab itself is a fixed array of
-// chunk pointers — growth installs a new chunk but never moves existing
-// nodes and never reallocates the pointer table, so a reader
+// the node refcounts and the owner count are atomics, and the free list /
+// slab growth sit behind a tiny spinlock. The slab itself is a fixed
+// array of chunk pointers — growth installs a new chunk but never moves
+// existing nodes and never reallocates the pointer table, so a reader
 // dereferencing an established FrameRef is untouched by concurrent
 // make() calls (std::deque could not promise that: its block map
 // reallocates on growth).
@@ -56,7 +68,7 @@ struct FramePoolCore {
   std::array<Node*, kMaxChunks> chunks{};
   std::uint32_t size = 0;          // guarded by lock
   std::uint32_t free_head = kNil;  // guarded by lock
-  // 1 for the FramePool handle + 1 per live FrameRef.
+  // 1 for the FramePool handle + 1 per live node (refs > 0).
   std::atomic<std::uint64_t> owners{1};
   std::atomic_flag lock_flag = ATOMIC_FLAG_INIT;
 
@@ -77,16 +89,15 @@ struct FramePoolCore {
 
 }  // namespace detail
 
-/// Shared-ownership handle to an immutable pooled Frame. Copying is a
-/// refcount bump; the node returns to the pool's free list when the last
-/// ref drops.
+/// Shared-ownership handle to an immutable pooled Frame. Copying is one
+/// atomic bump of the node's refcount; the node returns to the pool's free
+/// list when the last ref drops.
 class FrameRef {
  public:
   FrameRef() = default;
   FrameRef(const FrameRef& o) : core_(o.core_), idx_(o.idx_) {
     if (core_ != nullptr) {
       core_->node(idx_).refs.fetch_add(1, std::memory_order_relaxed);
-      core_->owners.fetch_add(1, std::memory_order_relaxed);
     }
   }
   FrameRef(FrameRef&& o) noexcept : core_(o.core_), idx_(o.idx_) {
@@ -115,6 +126,14 @@ class FrameRef {
     return core_ == nullptr ? nullptr : &core_->node(idx_).frame;
   }
 
+  /// Refs sharing this frame, this one included (0 for an empty ref).
+  /// Exact only while no other thread copies or drops one.
+  std::uint32_t use_count() const {
+    return core_ == nullptr
+               ? 0
+               : core_->node(idx_).refs.load(std::memory_order_relaxed);
+  }
+
   void reset() {
     release();
     core_ = nullptr;
@@ -128,19 +147,19 @@ class FrameRef {
   void release() {
     if (core_ == nullptr) return;
     auto& node = core_->node(idx_);
-    if (node.refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Sole owner now: reset sections outside the lock (nobody else can
-      // reach this node), keeping the payload vector's buffer so a reused
-      // node can often take the next frame without reallocating.
-      std::vector<std::byte> data = std::move(node.frame.data);
-      data.clear();
-      node.frame = Frame{};
-      node.frame.data = std::move(data);
-      core_->lock();
-      node.next_free = core_->free_head;
-      core_->free_head = idx_;
-      core_->unlock();
-    }
+    if (node.refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    // Last ref to this node: reset sections outside the lock (nobody else
+    // can reach it), keeping the payload vector's buffer so a reused node
+    // can often take the next frame without reallocating.
+    std::vector<std::byte> data = std::move(node.frame.data);
+    data.clear();
+    node.frame = Frame{};
+    node.frame.data = std::move(data);
+    core_->lock();
+    node.next_free = core_->free_head;
+    core_->free_head = idx_;
+    core_->unlock();
+    // The node no longer owns the core.
     if (core_->owners.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       delete core_;
     }
@@ -196,7 +215,7 @@ class FramePool {
       node.frame = std::move(f);
     }
     node.refs.store(1, std::memory_order_relaxed);
-    core.owners.fetch_add(1, std::memory_order_relaxed);
+    core.owners.fetch_add(1, std::memory_order_relaxed);  // node is live
     return FrameRef(core_, idx);
   }
 

@@ -20,9 +20,49 @@ constexpr std::uint16_t kHasDataAck = 1 << 9;
 constexpr std::uint16_t kConnOpen = 1 << 10;
 constexpr std::uint16_t kHasRelay = 1 << 11;  // gateway-relayed (hops > 0)
 
+// Fletcher-16 with the mod-255 reduction deferred: a and b are exact
+// 64-bit sums, reduced once per kRun bytes and at the end. Reducing a sum
+// mod 255 gives what reducing every step would, so the value is the
+// textbook per-byte Fletcher-16; a run of kRun bytes from reduced a, b
+// cannot overflow b (it stays under 255 * kRun^2).
+class Fletcher16 {
+ public:
+  void add(std::uint8_t v) {
+    a_ += v;
+    b_ += a_;
+  }
+  void add(const std::uint8_t* p, std::size_t n) {
+    while (n > 0) {
+      const std::size_t run = n < kRun ? n : kRun;
+      for (std::size_t i = 0; i < run; ++i) add(p[i]);
+      a_ %= 255;
+      b_ %= 255;
+      p += run;
+      n -= run;
+    }
+  }
+  std::uint16_t value() const {
+    return static_cast<std::uint16_t>(((b_ % 255) << 8) | (a_ % 255));
+  }
+
+ private:
+  static constexpr std::size_t kRun = std::size_t{1} << 20;
+  std::uint64_t a_ = 0;
+  std::uint64_t b_ = 0;
+};
+
+// Writes frame fields little-endian into `Sink` (put(byte) and
+// put(data, n)), checksumming every byte on the way so the trailer needs
+// no second pass. encode_frame's sink appends to a buffer; wire_hash's
+// folds the bytes into FNV-1a and stores none.
+template <typename Sink>
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  explicit Writer(Sink& sink) : sink_(sink) {}
+  void u8(std::uint8_t v) {
+    ck_.add(v);
+    sink_.put(v);
+  }
   void u16(std::uint16_t v) {
     u8(static_cast<std::uint8_t>(v & 0xFF));
     u8(static_cast<std::uint8_t>(v >> 8));
@@ -38,14 +78,43 @@ class Writer {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void bytes(const std::vector<std::byte>& b) {
-    for (auto x : b) out_.push_back(std::to_integer<std::uint8_t>(x));
+    const auto* p = reinterpret_cast<const std::uint8_t*>(b.data());
+    ck_.add(p, b.size());
+    sink_.put(p, b.size());
   }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-  std::vector<std::uint8_t>& buf() { return out_; }
+  /// The trailer: Fletcher-16 over every byte written so far.
+  void checksum() { u16(ck_.value()); }
 
  private:
-  std::vector<std::uint8_t> out_;
+  Sink& sink_;
+  Fletcher16 ck_;
 };
+
+struct BufferSink {
+  std::vector<std::uint8_t>& out;
+  void put(std::uint8_t v) { out.push_back(v); }
+  void put(const std::uint8_t* p, std::size_t n) {
+    out.insert(out.end(), p, p + n);
+  }
+};
+
+// 64-bit FNV-1a.
+struct HashSink {
+  std::uint64_t h = 1469598103934665603ull;
+  void put(std::uint8_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  }
+  void put(const std::uint8_t* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) put(p[i]);
+  }
+};
+
+// Bytes of an encoding other than the data block, with every section
+// present: 13 header + 1 seq + 1 ack + 11 nack + 29 request + 21 accept +
+// 9 probe + 17 discover + 9 cancel + 13 data header + 8 data ack +
+// 5 relay + 2 checksum. Only a reserve() hint.
+constexpr std::size_t kMaxOverheadBytes = 139;
 
 class Reader {
  public:
@@ -95,19 +164,13 @@ class Reader {
   bool ok_ = true;
 };
 
-}  // namespace
-
-std::uint16_t fletcher16(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t a = 0, b = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    a = (a + data[i]) % 255;
-    b = (b + a) % 255;
-  }
-  return static_cast<std::uint16_t>((b << 8) | a);
-}
-
-std::vector<std::uint8_t> encode_frame(const Frame& f) {
-  Writer w;
+// The one wire layout. `hops` and `relay_src` stand in for the frame's
+// own fields, so a gateway can hash the restamped frame it would relay
+// without building it.
+template <typename Sink>
+void write_frame(Sink& sink, const Frame& f, std::uint8_t hops,
+                 Mid relay_src) {
+  Writer<Sink> w(sink);
   w.u16(kWireMagic);
   w.u8(kWireVersion);
 
@@ -123,7 +186,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   if (f.data_tag != DataTag::kNone || !f.data.empty()) present |= kHasData;
   if (f.data_ack != kNoTid) present |= kHasDataAck;
   if (f.conn_open) present |= kConnOpen;
-  if (f.hops > 0) present |= kHasRelay;
+  if (hops > 0) present |= kHasRelay;
   w.u16(present);
 
   w.i32(f.src);
@@ -176,15 +239,33 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   }
   if (present & kHasDataAck) w.i64(f.data_ack);
   if (present & kHasRelay) {
-    w.u8(f.hops);
-    w.i32(f.relay_src);
+    w.u8(hops);
+    w.i32(relay_src);
   }
 
-  // Trailer checksum over everything so far.
-  auto& buf = w.buf();
-  const std::uint16_t ck = fletcher16(buf.data(), buf.size());
-  w.u16(ck);
-  return w.take();
+  w.checksum();
+}
+
+}  // namespace
+
+std::uint16_t fletcher16(const std::uint8_t* data, std::size_t size) {
+  Fletcher16 ck;
+  ck.add(data, size);
+  return ck.value();
+}
+
+std::vector<std::uint8_t> encode_frame(const Frame& f) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kMaxOverheadBytes + f.data.size());
+  BufferSink sink{out};
+  write_frame(sink, f, f.hops, f.relay_src);
+  return out;
+}
+
+std::uint64_t wire_hash(const Frame& f, std::uint8_t hops, Mid relay_src) {
+  HashSink sink;
+  write_frame(sink, f, hops, relay_src);
+  return sink.h;
 }
 
 std::optional<Frame> decode_frame(const std::uint8_t* data,

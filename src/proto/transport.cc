@@ -20,7 +20,8 @@ Transport::Transport(sim::Simulator& sim, net::Bus& bus, net::Mid mid,
       cpu_(cpu),
       metrics_(&sim.metrics().node(mid)),
       cb_(std::move(callbacks)) {
-  bus_.attach(mid_, [this](const net::FrameRef& f) { on_bus_frame(f); });
+  bus_.attach(mid_,
+              [this](net::FrameRef f) { on_bus_frame(std::move(f)); });
 }
 
 Transport::~Transport() { bus_.detach(mid_); }
@@ -337,7 +338,7 @@ void Transport::reject_held(const net::Frame& frame) {
 
 // --------------------------------------------------------------- receiving
 
-void Transport::on_bus_frame(const net::FrameRef& f) {
+void Transport::on_bus_frame(net::FrameRef f) {
   if (quarantined()) return;  // the interface is silent after a crash
   cpu_.charge(timing_.protocol_recv, CostCategory::kProtocol);
   cpu_.charge(timing_.conn_timer_recv, CostCategory::kConnectionTimers);
@@ -346,9 +347,9 @@ void Transport::on_bus_frame(const net::FrameRef& f) {
     copy = static_cast<sim::Duration>(f->data.size()) * timing_.copy_per_byte;
   }
   const auto epoch = epoch_;
-  // The deferred protocol work shares the pooled frame — no copy into the
-  // completion closure, and the closure fits EventFn's inline storage.
-  cpu_.run(copy, CostCategory::kDataCopy, [this, epoch, f]() {
+  // The deferred protocol work takes over the bus's ref to the pooled
+  // frame — no copy, and the closure fits EventFn's inline storage.
+  cpu_.run(copy, CostCategory::kDataCopy, [this, epoch, f = std::move(f)]() {
     if (stale(epoch)) return;
     process_frame(*f);
   });

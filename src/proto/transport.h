@@ -177,7 +177,7 @@ class Transport {
   void arm_expiry(Record& r, net::Mid peer, sim::Duration delay);
   void drop_record(net::Mid peer);
 
-  void on_bus_frame(const net::FrameRef& f);
+  void on_bus_frame(net::FrameRef f);
   void process_frame(const net::Frame& f);
   void process_ack(net::Mid peer, Record& r, const net::Frame& f);
   void process_nack(net::Mid peer, Record& r, const net::Frame& f);

@@ -1,6 +1,10 @@
 // Wire-codec round-trip and corruption-rejection properties.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "net/wire.h"
 #include "sim/random.h"
 
@@ -120,6 +124,33 @@ Frame random_frame(sim::Rng& rng) {
   return f;
 }
 
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// What wire_hash must equal: FNV-1a over the encoding of `f` restamped
+/// the way a gateway relays it.
+std::uint64_t hash_of_encoding(Frame f, std::uint8_t hops, Mid relay_src) {
+  f.hops = hops;
+  f.relay_src = relay_src;
+  return fnv1a(encode_frame(f));
+}
+
+/// Fletcher-16 reduced mod 255 at every byte, the textbook form.
+std::uint16_t fletcher16_per_byte(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t a = 0, b = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    a = (a + data[i]) % 255;
+    b = (b + a) % 255;
+  }
+  return static_cast<std::uint16_t>((b << 8) | a);
+}
+
 TEST(Wire, EmptyFrameRoundTrips) {
   Frame f;
   f.src = 1;
@@ -208,6 +239,94 @@ TEST(Wire, GarbageRejected) {
 TEST(Wire, Fletcher16KnownVector) {
   const std::uint8_t abcde[] = {'a', 'b', 'c', 'd', 'e'};
   EXPECT_EQ(fletcher16(abcde, 5), 0xC8F0);
+}
+
+TEST(Wire, Fletcher16MatchesPerByteReference) {
+  sim::Rng rng(28);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (int i = 0; i < 40; ++i) lengths.push_back(rng.next_below(70001));
+  lengths.push_back(65535);
+  lengths.push_back(65536);
+  lengths.push_back(70000);
+  for (std::size_t n : lengths) {
+    std::vector<std::uint8_t> buf(n);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+    ASSERT_EQ(fletcher16(buf.data(), n), fletcher16_per_byte(buf.data(), n))
+        << "length " << n;
+  }
+  // All-0xFF grows the unreduced sums fastest; past a few MiB it also
+  // crosses the periodic reduction.
+  const std::vector<std::uint8_t> ones((3u << 20) + 7, 0xFF);
+  EXPECT_EQ(fletcher16(ones.data(), ones.size()),
+            fletcher16_per_byte(ones.data(), ones.size()));
+}
+
+// A gateway coalesces a relayed frame by wire_hash, so it must stay the
+// FNV-1a of the exact relayed wire image: every optional section, with
+// payloads of several sizes, and restamps that add or keep the relay
+// section.
+TEST(Wire, HashIsFnvOfTheRestampedEncoding) {
+  const std::vector<std::function<void(Frame&)>> sections = {
+      [](Frame&) {},
+      [](Frame& f) { f.seq = 1; },
+      [](Frame& f) { f.ack = AckSection{1}; },
+      [](Frame& f) { f.nack = NackSection{NackReason::kBusy, 1, 77, 3}; },
+      [](Frame& f) {
+        f.request = RequestSection{42, 0xDEADBEEF, -7, 100, 200, true};
+      },
+      [](Frame& f) { f.accept = AcceptSection{42, 9, 100, 200, true, true}; },
+      [](Frame& f) { f.probe = ProbeSection{11, true, true}; },
+      [](Frame& f) { f.discover = DiscoverSection{0x123, 5, true}; },
+      [](Frame& f) { f.cancel = CancelSection{13, true, false}; },
+      [](Frame& f) {
+        f.data_tag = DataTag::kRequestData;
+        f.data_tid = 42;
+      },
+      [](Frame& f) { f.data_ack = 99; },
+      [](Frame& f) {
+        f.hops = 2;
+        f.relay_src = 9;
+      },
+      [](Frame& f) { f.conn_open = true; },
+  };
+  const std::pair<std::uint8_t, Mid> restamps[] = {{0, 0}, {1, 7}, {3, -5}};
+  sim::Rng rng(7);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    for (std::size_t payload : {0u, 1u, 64u, 1500u}) {
+      Frame f;
+      f.src = 3;
+      f.dst = 4;
+      sections[i](f);
+      if (payload > 0) {
+        f.data_tag = DataTag::kAcceptData;
+        f.data.resize(payload);
+        for (auto& b : f.data) b = static_cast<std::byte>(rng.next_below(256));
+      }
+      for (const auto& [hops, relay] : restamps) {
+        EXPECT_EQ(wire_hash(f, hops, relay), hash_of_encoding(f, hops, relay))
+            << "section " << i << " payload " << payload << " hops "
+            << int{hops};
+      }
+    }
+  }
+}
+
+TEST_P(WireFuzz, HashMatchesRandomFramesRestamped) {
+  sim::Rng rng(GetParam() + 3000);
+  for (int i = 0; i < 200; ++i) {
+    Frame f = random_frame(rng);
+    if (rng.chance(0.3)) {  // already relayed: the encoding has the section
+      f.hops = static_cast<std::uint8_t>(1 + rng.next_below(4));
+      f.relay_src = static_cast<Mid>(rng.next_below(16));
+    }
+    const auto hops = static_cast<std::uint8_t>(f.hops + 1);
+    const auto relay = static_cast<Mid>(rng.next_below(32));
+    ASSERT_EQ(wire_hash(f, hops, relay), hash_of_encoding(f, hops, relay))
+        << "iteration " << i;
+    ASSERT_EQ(wire_hash(f, f.hops, f.relay_src), fnv1a(encode_frame(f)))
+        << "iteration " << i;
+  }
 }
 
 }  // namespace
